@@ -131,9 +131,9 @@ func TestDisabledOverheadGate(t *testing.T) {
 // --- refTracker: the pre-telemetry hot path, verbatim minus t.tel ----------
 
 // refTracker replays the tracker's Derive/Track/Check/InvokeCheck logic
-// with no telemetry fields in the struct at all, as the code stood before
-// the telemetry layer. It exists only as the benchmark baseline; keep it
-// in lockstep with the real methods when the hot path changes.
+// (owned-accumulator collection included) with no telemetry fields in the
+// struct at all. It exists only as the benchmark baseline; keep it in
+// lockstep with the real methods when the hot path changes.
 type refTracker struct {
 	pol       *policy.Policy
 	adapter   ValueAdapter
@@ -162,18 +162,20 @@ func (r *refTracker) labelsOf(v any) policy.LabelSet {
 	return nil
 }
 
-func (r *refTracker) attach(v any, ls policy.LabelSet) any {
-	if ls.Empty() {
-		return v
-	}
+// attachOwned mirrors Tracker.attachOwned: ls is fresh and stored as is.
+func (r *refTracker) attachOwned(v any, ls policy.LabelSet) any {
 	if ref, ok := v.(Ref); ok {
-		r.labels[ref.RefID()] = r.labels[ref.RefID()].Union(ls)
+		id := ref.RefID()
+		for l := range r.labels[id] {
+			ls[l] = struct{}{}
+		}
+		r.labels[id] = ls
 		return v
 	}
 	if !r.adapter.IsReference(v) {
 		r.stats.Boxed++
 		b := &Box{Val: v, id: NextRefID()}
-		r.labels[b.RefID()] = ls.Clone()
+		r.labels[b.id] = ls
 		return b
 	}
 	return v
@@ -181,14 +183,14 @@ func (r *refTracker) attach(v any, ls policy.LabelSet) any {
 
 func (r *refTracker) derive(result any, sources ...any) any {
 	r.stats.Derived++
-	var union policy.LabelSet
+	c := refCollector{r: r}
 	for _, s := range sources {
-		union = union.Union(r.labelsOf(s))
+		c.join(r.labelsOf(s))
 	}
-	if union.Empty() {
+	if c.acc.Empty() {
 		return result
 	}
-	return r.attach(result, union)
+	return r.attachOwned(result, c.acc)
 }
 
 func (r *refTracker) track(v any) any {
@@ -202,35 +204,87 @@ func (r *refTracker) track(v any) any {
 	return &Box{Val: v, id: NextRefID()}
 }
 
-func (r *refTracker) dataLabels(v any) policy.LabelSet {
-	var union policy.LabelSet
-	seen := make(map[uint64]bool)
-	r.collect(v, &union, seen, 0)
-	return union
+func (r *refTracker) plain(v any) bool {
+	if _, isRef := v.(Ref); isRef {
+		return false
+	}
+	return !r.adapter.IsReference(v)
 }
 
-func (r *refTracker) collect(v any, union *policy.LabelSet, seen map[uint64]bool, depth int) {
-	if depth > maxCollectDepth {
+func (r *refTracker) dataLabels(v any) policy.LabelSet {
+	if b, ok := v.(*Box); ok && r.plain(b.Val) {
+		return r.labels[b.id]
+	}
+	if r.plain(v) {
+		return nil
+	}
+	c := refCollector{r: r}
+	c.walk(v, 0)
+	return c.acc
+}
+
+// refCollector mirrors collector on the flat confidentiality walk.
+type refCollector struct {
+	r    *refTracker
+	acc  policy.LabelSet
+	seen map[uint64]struct{}
+}
+
+func (c *refCollector) join(ls policy.LabelSet) {
+	if len(ls) == 0 {
 		return
 	}
+	if c.acc == nil {
+		c.acc = make(policy.LabelSet, len(ls))
+	}
+	for l := range ls {
+		c.acc[l] = struct{}{}
+	}
+}
+
+func (c *refCollector) root(v any) {
+	clear(c.seen)
+	c.walk(v, 0)
+}
+
+func (c *refCollector) walk(v any, depth int) {
+	r := c.r
+	if depth > maxCollectDepth {
+		if _, isRef := v.(Ref); !isRef {
+			if _, isArr := r.adapter.Elements(v); !isArr {
+				return
+			}
+		}
+		c.join(topSet)
+		return
+	}
+	b, isBox := v.(*Box)
+	if isBox && r.plain(b.Val) {
+		c.join(r.labels[b.id])
+		return
+	}
+	elems, isArr := r.adapter.Elements(v)
 	if ref, ok := v.(Ref); ok {
 		id := ref.RefID()
-		if seen[id] {
-			return
+		if isArr || isBox {
+			if _, dup := c.seen[id]; dup {
+				return
+			}
+			if c.seen == nil {
+				c.seen = make(map[uint64]struct{})
+			}
+			c.seen[id] = struct{}{}
 		}
-		seen[id] = true
-		if ls := r.labels[id]; !ls.Empty() {
-			*union = union.Union(ls)
-		}
+		c.join(r.labels[id])
 	}
-	if elems, ok := r.adapter.Elements(v); ok {
+	if isArr {
 		for _, el := range elems {
-			r.collect(el, union, seen, depth+1)
+			c.walk(el, depth+1)
 		}
 		return
 	}
-	if b, ok := v.(*Box); ok {
-		r.collect(b.Val, union, seen, depth+1)
+	if isBox {
+		c.walk(b.Val, depth+1)
 	}
 }
 
@@ -270,10 +324,11 @@ func (r *refTracker) check(data, recv any, site string) error {
 
 func (r *refTracker) invokeCheck(fnVal any, args []any, site string) error {
 	r.stats.Checks++
-	var dl policy.LabelSet
+	c := refCollector{r: r}
 	for _, a := range args {
-		dl = dl.Union(r.dataLabels(a))
+		c.root(a)
 	}
+	dl := c.acc
 	if dl.Empty() {
 		return nil
 	}

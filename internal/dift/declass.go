@@ -31,16 +31,7 @@ func (t *Tracker) AttachIntegrity(v any, is policy.LabelSet) any {
 	if is.Empty() {
 		return v
 	}
-	if r, ok := v.(Ref); ok {
-		t.integ[r.RefID()] = t.integ[r.RefID()].Union(is)
-		return v
-	}
-	if !t.Adapter.IsReference(v) {
-		b := t.newBox(v)
-		t.integ[b.RefID()] = is.Clone()
-		return b
-	}
-	return v
+	return t.attachOwned(t.integ, v, is.Clone())
 }
 
 // DataIntegrity collects the integrity facts of v and the values reachable
@@ -48,47 +39,9 @@ func (t *Tracker) AttachIntegrity(v any, is policy.LabelSet) any {
 // object properties). Truncation at the depth bound simply stops: losing
 // integrity facts is fail-safe (fewer exchanges fire, fewer
 // declassifications are trusted), the opposite polarity of DataLabels'
-// ⊤ join.
+// ⊤ join. Like DataLabels, the result may alias the tracker's table.
 func (t *Tracker) DataIntegrity(v any) policy.LabelSet {
-	var union policy.LabelSet
-	seen := make(map[uint64]bool)
-	t.collectInteg(v, &union, seen, 0)
-	return union
-}
-
-func (t *Tracker) collectInteg(v any, union *policy.LabelSet, seen map[uint64]bool, depth int) {
-	if depth > maxCollectDepth {
-		return
-	}
-	if r, ok := v.(Ref); ok {
-		id := r.RefID()
-		if seen[id] {
-			return
-		}
-		seen[id] = true
-		if is := t.integ[id]; !is.Empty() {
-			*union = union.Union(is)
-		}
-	}
-	if elems, ok := t.Adapter.Elements(v); ok {
-		for _, el := range elems {
-			t.collectInteg(el, union, seen, depth+1)
-		}
-		return
-	}
-	if b, ok := v.(*Box); ok {
-		t.collectInteg(b.Val, union, seen, depth+1)
-		return
-	}
-	if t.props != nil {
-		if names, ok := t.props.PropertyNames(v); ok {
-			for _, n := range names {
-				if pv, found := t.Adapter.Property(v, n); found {
-					t.collectInteg(pv, union, seen, depth+1)
-				}
-			}
-		}
-	}
+	return t.collectFrom(t.integ, false, v)
 }
 
 // deriveIntegrity propagates integrity facts onto a derived value: the
@@ -99,14 +52,14 @@ func (t *Tracker) collectInteg(v any, union *policy.LabelSet, seen map[uint64]bo
 // trusted. Robustness comes from the endorsement discipline, not from
 // meet-propagation. DESIGN.md discusses the trade-off.
 func (t *Tracker) deriveIntegrity(out any, sources []any) any {
-	var iu policy.LabelSet
+	var c collector
 	for _, s := range sources {
-		iu = iu.Union(t.IntegrityOf(s))
+		c.join(t.IntegrityOf(s))
 	}
-	if iu.Empty() {
+	if c.acc.Empty() {
 		return out
 	}
-	return t.AttachIntegrity(out, iu)
+	return t.attachOwned(t.integ, out, c.acc)
 }
 
 // exchanged applies the policy's exchange rules to a checked data label,
@@ -115,11 +68,11 @@ func (t *Tracker) exchanged(dl policy.LabelSet, values ...any) policy.LabelSet {
 	if len(t.Policy.Exchanges) == 0 || dl.Empty() {
 		return dl
 	}
-	var integ policy.LabelSet
+	c := collector{t: t, table: t.integ}
 	for _, v := range values {
-		integ = integ.Union(t.DataIntegrity(v))
+		c.root(v)
 	}
-	return policy.ApplyExchanges(dl, integ, t.Policy.Exchanges)
+	return policy.ApplyExchanges(dl, c.acc, t.Policy.Exchanges)
 }
 
 // cnfViolation records a CNF-rule refusal (declassifier/endorsement abuse)

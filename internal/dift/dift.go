@@ -60,7 +60,9 @@ type ValueAdapter interface {
 	Elements(v any) ([]any, bool)
 	// SetElement overwrites element i; reports success.
 	SetElement(v any, i int, val any) bool
-	// IsReference reports whether v carries identity of its own.
+	// IsReference reports whether v carries identity of its own. A value
+	// that is neither a Ref nor a reference must have no elements and no
+	// properties: label collection treats it as a leaf.
 	IsReference(v any) bool
 }
 
@@ -429,13 +431,24 @@ func (t *Tracker) Attach(v any, ls policy.LabelSet) any {
 	if ls.Empty() {
 		return v
 	}
+	return t.attachOwned(t.labels, v, ls.Clone())
+}
+
+// attachOwned binds a non-empty set the caller hands over to v in table:
+// the set is stored as is, with v's existing entries merged into it, so a
+// freshly collected union costs no further copy.
+func (t *Tracker) attachOwned(table map[uint64]policy.LabelSet, v any, ls policy.LabelSet) any {
 	if r, ok := v.(Ref); ok {
-		t.labels[r.RefID()] = t.labels[r.RefID()].Union(ls)
+		id := r.RefID()
+		for l := range table[id] {
+			ls[l] = struct{}{}
+		}
+		table[id] = ls
 		return v
 	}
 	if !t.Adapter.IsReference(v) {
 		b := t.newBox(v)
-		t.labels[b.RefID()] = ls.Clone()
+		table[b.id] = ls
 		return b
 	}
 	return v
@@ -570,32 +583,55 @@ func (t *Tracker) Derive(result any, sources ...any) (out any) {
 	if h := t.tel; h != nil && h.binaryOp != nil {
 		h.binaryOp.Inc()
 	}
-	var union policy.LabelSet
+	c := collector{t: t}
 	for _, s := range sources {
-		union = union.Union(t.LabelsOf(s))
+		c.join(t.LabelsOf(s))
 	}
-	union = t.pcAugment(union)
+	c.joinPC()
 	if t.cnf {
 		out = result
-		if !union.Empty() {
-			out = t.Attach(out, union)
+		if !c.acc.Empty() {
+			out = t.attachOwned(t.labels, out, c.acc)
 		}
 		return t.deriveIntegrity(out, sources)
 	}
-	if union.Empty() {
+	if c.acc.Empty() {
 		return result
 	}
-	return t.Attach(result, union)
+	return t.attachOwned(t.labels, result, c.acc)
 }
 
 // DataLabels collects the labels of v and, for containers, of the values
 // reachable from it. Collection is cycle-safe. This is what a sink check
-// inspects: sending an object leaks everything reachable from it.
+// inspects: sending an object leaks everything reachable from it. The
+// result may be the tracker's own entry for v (a plain value's box): treat
+// it as read-only.
 func (t *Tracker) DataLabels(v any) policy.LabelSet {
-	var union policy.LabelSet
-	seen := make(map[uint64]bool)
-	t.collect(v, &union, seen, 0)
-	return union
+	return t.collectFrom(t.labels, true, v)
+}
+
+// collectFrom runs one collection over table from root v. A plain value
+// reaches nothing, and a box around one is a leaf: both answer straight
+// from the table without starting a walk.
+func (t *Tracker) collectFrom(table map[uint64]policy.LabelSet, top bool, v any) policy.LabelSet {
+	if b, ok := v.(*Box); ok && t.plain(b.Val) {
+		return table[b.id]
+	}
+	if t.plain(v) {
+		return nil
+	}
+	c := collector{t: t, table: table, top: top}
+	c.walk(v, 0)
+	return c.acc
+}
+
+// plain reports whether v carries no identity of its own: it has no label
+// entry and, by the ValueAdapter contract, no elements or properties.
+func (t *Tracker) plain(v any) bool {
+	if _, isRef := v.(Ref); isRef {
+		return false
+	}
+	return !t.Adapter.IsReference(v)
 }
 
 const maxCollectDepth = 12
@@ -604,7 +640,61 @@ const maxCollectDepth = 12
 // check stays allocation-free.
 var topSet = policy.NewLabelSet(policy.Top)
 
-func (t *Tracker) collect(v any, union *policy.LabelSet, seen map[uint64]bool, depth int) {
+// collector gathers the label sets reachable from one or more roots. Two
+// invariants keep it cheap without changing what it collects:
+//
+//   - The accumulator acc is owned: it is allocated by the first non-empty
+//     join, grows in place, and is never shared until it is handed to the
+//     caller (Attach-style callers store it without a copy).
+//   - Boxes hold only non-reference values (Attach and Track box nothing
+//     else), so a box around a plain value is a leaf that cannot close a
+//     cycle. It skips the seen set, which is allocated only when the walk
+//     descends into a container reference.
+type collector struct {
+	t     *Tracker
+	table map[uint64]policy.LabelSet
+	// top selects the truncation polarity: the confidentiality walk joins
+	// ⊤ past the depth bound; the integrity walk just stops, because
+	// losing integrity facts is fail-safe.
+	top  bool
+	acc  policy.LabelSet
+	seen map[uint64]struct{}
+}
+
+// join adds ls to the accumulator in place.
+func (c *collector) join(ls policy.LabelSet) {
+	if len(ls) == 0 {
+		return
+	}
+	if c.acc == nil {
+		c.acc = make(policy.LabelSet, len(ls))
+	}
+	for l := range ls {
+		c.acc[l] = struct{}{}
+	}
+}
+
+// joinPC adds the current pc label (every open scope) when implicit-flow
+// tracking is on.
+func (c *collector) joinPC() {
+	if !c.t.implicit {
+		return
+	}
+	for _, s := range c.t.pcStack {
+		c.join(s)
+	}
+}
+
+// root walks one more root. Each root starts with an empty cycle set, so
+// the union over several roots equals the union of their separate
+// collections.
+func (c *collector) root(v any) {
+	clear(c.seen)
+	c.walk(v, 0)
+}
+
+func (c *collector) walk(v any, depth int) {
+	t := c.t
 	if depth > maxCollectDepth {
 		// Truncating a plain value is lossless — it carries no identity
 		// and reaches nothing — but truncating a Ref or a container may
@@ -614,47 +704,61 @@ func (t *Tracker) collect(v any, union *policy.LabelSet, seen map[uint64]bool, d
 		// This also covers the `seen` cycle guard: a revisit can only lose
 		// labels if the first visit truncated, and that truncation already
 		// joined ⊤.
+		if !c.top {
+			return
+		}
 		if _, isRef := v.(Ref); !isRef {
 			if _, isArr := t.Adapter.Elements(v); !isArr {
 				return
 			}
 		}
-		*union = union.Union(topSet)
+		c.join(topSet)
 		if t.FailClosed {
 			t.Poison(fmt.Sprintf("collect depth overflow (> %d)", maxCollectDepth))
 		}
 		return
 	}
+	b, isBox := v.(*Box)
+	if isBox && t.plain(b.Val) {
+		c.join(c.table[b.id])
+		return
+	}
+	elems, isArr := t.Adapter.Elements(v)
 	if r, ok := v.(Ref); ok {
 		id := r.RefID()
-		if seen[id] {
-			return
+		// only a reference the walk descends into can close a cycle
+		if isArr || isBox || t.props != nil {
+			if _, dup := c.seen[id]; dup {
+				return
+			}
+			if c.seen == nil {
+				c.seen = make(map[uint64]struct{})
+			}
+			c.seen[id] = struct{}{}
 		}
-		seen[id] = true
-		if ls := t.labels[id]; !ls.Empty() {
-			*union = union.Union(ls)
-		}
+		c.join(c.table[id])
 	}
-	if elems, ok := t.Adapter.Elements(v); ok {
+	if isArr {
 		for _, el := range elems {
-			t.collect(el, union, seen, depth+1)
+			c.walk(el, depth+1)
 		}
 		return
 	}
-	if b, ok := v.(*Box); ok {
-		t.collect(b.Val, union, seen, depth+1)
+	if isBox {
+		c.walk(b.Val, depth+1)
 		return
 	}
 	// CNF mode walks object properties too: a compound policy's attack
 	// surface includes stashing a secret under a dynamically computed key,
 	// so collection must be exhaustive over the object graph. The flat path
 	// skips this (properties are labelled onto the holder by the labeller
-	// specs), keeping pre-CNF collection costs and output intact.
-	if t.cnf && t.props != nil {
+	// specs), keeping pre-CNF collection costs and output intact. props is
+	// non-nil only in CNF mode.
+	if t.props != nil {
 		if names, ok := t.props.PropertyNames(v); ok {
 			for _, n := range names {
 				if pv, found := t.Adapter.Property(v, n); found {
-					t.collect(pv, union, seen, depth+1)
+					c.walk(pv, depth+1)
 				}
 			}
 		}
@@ -755,11 +859,12 @@ func (t *Tracker) InvokeCheckTarget(fnVal, target any, args []any, site string) 
 		defer t.recoverOp("invoke", site, &err)
 	}
 	t.stats.Checks++
-	var dl policy.LabelSet
+	c := collector{t: t, table: t.labels, top: true}
 	for _, a := range args {
-		dl = dl.Union(t.DataLabels(a))
+		c.root(a)
 	}
-	dl = t.pcAugment(dl)
+	c.joinPC()
+	dl := c.acc
 	if t.cnf {
 		dl = t.exchanged(dl, args...)
 	}
@@ -794,9 +899,7 @@ func (t *Tracker) InvokeCheckTarget(fnVal, target any, args []any, site string) 
 // DeriveInvoke labels a function's return value with the compound label of
 // its arguments (the invoke rule of Fig. 5).
 func (t *Tracker) DeriveInvoke(result any, args []any) any {
-	srcs := make([]any, 0, len(args))
-	srcs = append(srcs, args...)
-	return t.Derive(result, srcs...)
+	return t.Derive(result, args...)
 }
 
 func (t *Tracker) verdict(dl, rl policy.LabelSet, op, site string) error {

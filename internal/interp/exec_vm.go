@@ -168,9 +168,9 @@ func (ip *Interp) putCallEnv(e *Env) {
 
 // vmArgs materializes the packed argument window like callArgs, but may
 // reuse a pooled slice when the caller guarantees the callee cannot
-// retain it (a compiled MiniJS body that never materializes `arguments`;
-// rest parameters always copy). Pool slices carry spare capacity so the
-// common 0–8 arity range recycles cleanly.
+// retain it (a compiled MiniJS body that never materializes `arguments`,
+// rest parameters always copying; or a built-in τ function). Pool slices
+// carry spare capacity so the common 0–8 arity range recycles cleanly.
 func (ip *Interp) vmArgs(regs []Value, fregs []float64, ftag []bool, packed int32, pooled bool) []Value {
 	argc := int(packed & 0xffff)
 	if argc == 0 {
@@ -247,19 +247,24 @@ func rval(regs []Value, fregs []float64, ftag []bool, i int32) Value {
 	return regs[i]
 }
 
-// trackerCall dispatches a fused `__t.method(...)` call site. The fast
-// path is valid while the tracker object installed by InstallTracker is
-// still the unshadowed `__t` binding (no dynamic rebinding anywhere, no
-// property writes on τ itself since install); otherwise it falls back to
-// the exact tree-walker sequence: ident lookup, IC method dispatch,
+// tauFast returns the built-in τ function for a fused call site's op code
+// while the fast path is valid: the tracker object installed by
+// InstallTracker is still the unshadowed `__t` binding (no dynamic
+// rebinding anywhere, no property writes on τ itself since install). It
+// returns nil otherwise, and for op 0.
+func (ip *Interp) tauFast(op vm.TauOp) *HostFunc {
+	fn := ip.tauFns[op]
+	if fn == nil || ip.tauRebound || ip.tauObj.version != ip.tauVer {
+		return nil
+	}
+	return fn
+}
+
+// trackerCall is the generic path of a fused `__t.method(...)` call site:
+// the exact tree-walker sequence of ident lookup, IC method dispatch,
 // CallMethod.
 func (ip *Interp) trackerCall(site *vm.CallSite, env *Env, args []Value) (Value, error) {
 	pos := site.Node.Pos()
-	if ip.tauObj != nil && !ip.tauRebound && ip.tauObj.version == ip.tauVer {
-		if fn, ok := ip.tauMethods[site.Name]; ok {
-			return ip.CallFunction(fn, ip.tauObj, args, pos)
-		}
-	}
 	mem := site.Mem
 	id := mem.Object.(*ast.Ident)
 	recv, ok := ip.lookupIdent(env, id.Name, id.Ref)
@@ -771,7 +776,17 @@ func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value
 			regs[in.A], ftag[in.A] = v, false
 		case vm.OpTrackerCall:
 			site := ch.Consts[in.D].(*vm.CallSite)
-			v, err := ip.trackerCall(site, env, callArgs(regs, fregs, ftag, in.C))
+			var v Value
+			var err error
+			if fn := ip.tauFast(site.Tau); fn != nil {
+				// a built-in τ function never keeps its argument slice (see
+				// InstallTracker), so the window is pooled
+				args := ip.vmArgs(regs, fregs, ftag, in.C, true)
+				v, err = fn.Fn(ip, ip.tauObj, args)
+				ip.putArgs(args)
+			} else {
+				v, err = ip.trackerCall(site, env, callArgs(regs, fregs, ftag, in.C))
+			}
 			if err != nil {
 				return ctrlNormal, nil, err
 			}

@@ -134,11 +134,11 @@ type Interp struct {
 	// fused-tracker fast path: snapshot of the __t object taken at
 	// InstallTracker time. Valid while the binding was never dynamically
 	// rebound (tauRebound) and the object itself is unmutated (version
-	// compare); OpTrackerCall then dispatches without an environment walk
-	// or member lookup.
+	// compare); OpTrackerCall then calls tauFns[site.Tau] without an
+	// environment walk or member lookup.
 	tauObj     *Object
 	tauVer     uint64
-	tauMethods map[string]Value
+	tauFns     [len(vm.TauMethods)]*HostFunc
 	tauRebound bool
 
 	// resolver fast-path telemetry, flushed into Metrics by

@@ -10,6 +10,7 @@ import (
 	"turnstile/internal/parser"
 	"turnstile/internal/policy"
 	"turnstile/internal/resolve"
+	"turnstile/internal/vm"
 )
 
 // Adapter implements dift.ValueAdapter over MiniJS values.
@@ -129,7 +130,7 @@ func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 	// check(data, receiver): verify the flow is allowed.
 	tau.Set("check", NewHostFunc("check", func(ip *Interp, this Value, args []Value) (Value, error) {
 		if len(args) < 2 {
-			return args[0], nil
+			return argOr(args, 0), nil
 		}
 		site := "check"
 		if len(args) > 2 {
@@ -182,7 +183,8 @@ func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 		}
 		// the return value derives from the arguments AND the receiver
 		// (frame.indexOf, frame.split, ... extract the receiver's data)
-		return tr.DeriveInvoke(ret, append(append([]Value{}, callArgs.Elems...), target)), nil
+		srcs := make([]Value, 0, len(callArgs.Elems)+1)
+		return tr.DeriveInvoke(ret, append(append(srcs, callArgs.Elems...), target)), nil
 	}))
 
 	// call(fn, argsArray): like invoke for bare function calls.
@@ -301,17 +303,19 @@ func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 
 	ip.Globals.Define("__t", tau, false)
 
-	// snapshot for the VM's fused __t.* call opcode: method table plus the
-	// version the object had at install time. Any later mutation of τ or
-	// dynamic rebinding of __t invalidates the fast path (see trackerCall).
+	// snapshot for the VM's fused __t.* call opcode: the built-in methods
+	// by op code plus the version the object had at install time. Any
+	// later mutation of τ or dynamic rebinding of __t invalidates the fast
+	// path (see OpTrackerCall). The fast path hands these functions a
+	// pooled argument window that is recycled when they return. That is
+	// sound because none of them keeps the slice: they pass on its
+	// elements, or an argument array's own Elems, never args itself.
 	ip.tauObj = tau
 	ip.tauVer = tau.version
 	ip.tauRebound = false
-	ip.tauMethods = make(map[string]Value, tau.Len())
-	for _, k := range tau.Keys() {
-		if v, ok := tau.GetOwn(k); ok {
-			ip.tauMethods[k] = v
-		}
+	for op := 1; op < len(vm.TauMethods); op++ {
+		fn, _ := tau.GetOwn(vm.TauMethods[op])
+		ip.tauFns[op], _ = fn.(*HostFunc)
 	}
 	return tr
 }

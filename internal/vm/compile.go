@@ -672,9 +672,9 @@ func (cc *chunkCompiler) call(x *ast.CallExpr) int32 {
 	case tracker:
 		// The tree-walker would now eval the `__t` ident (one step charge)
 		// then do the IC method dispatch; the fused opcode keeps the charge
-		// and replaces the lookup.
+		// and replaces the lookup by an op code resolved here.
 		cc.charge(mem.Object.Pos())
-		site := &CallSite{Node: x, Mem: mem, Name: mem.Property}
+		site := &CallSite{Node: x, Mem: mem, Name: mem.Property, Tau: TauOpOf(mem.Property)}
 		cc.emit(OpTrackerCall, dst, 0, packed, cc.konst(site))
 	case isMem && !mem.Computed:
 		recv := cc.expr(mem.Object)

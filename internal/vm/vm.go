@@ -15,8 +15,9 @@
 // straight back into the tree-walker for that one node — parity on those
 // paths is by construction, not by reimplementation. DIF tracker calls
 // (`__t.method(...)` against the unshadowed global) compile to a fused
-// OpTrackerCall so the instrumented hot path pays one dispatch instead of
-// an environment walk plus method lookup per tracker operation.
+// OpTrackerCall carrying the method's op code (TauOp), so the
+// instrumented hot path pays one dispatch instead of an environment walk
+// plus method lookup per tracker operation.
 package vm
 
 import (
@@ -30,7 +31,7 @@ import (
 // Version tags the bytecode format; it participates in the
 // content-addressed artifact cache key so a format change never revives
 // stale compiled artifacts.
-const Version = "turnstile-vm-3"
+const Version = "turnstile-vm-4"
 
 // Op is a bytecode opcode.
 type Op uint8
@@ -119,6 +120,30 @@ type CallSite struct {
 	Node *ast.CallExpr
 	Mem  *ast.MemberExpr // non-nil for method calls
 	Name string          // static (non-computed) method name
+	Tau  TauOp           // OpTrackerCall only: the τ method's op code
+}
+
+// TauOp is the compile-time op code of a DIF tracker (τ) method, the
+// index of its name in TauMethods. Op 0 names no built-in method: such
+// sites take the generic lookup path at run time.
+type TauOp uint8
+
+// TauMethods lists the τ methods the interpreter's InstallTracker
+// installs, in op-code order.
+var TauMethods = [...]string{
+	"", "label", "binaryOp", "derive", "check", "invoke", "call", "member",
+	"track", "pushScope", "pc", "popScope", "assign", "unwrap", "declassify",
+	"endorse",
+}
+
+// TauOpOf returns the op code of a τ method name (0 when it names none).
+func TauOpOf(name string) TauOp {
+	for i := 1; i < len(TauMethods); i++ {
+		if TauMethods[i] == name {
+			return TauOp(i)
+		}
+	}
+	return 0
 }
 
 // DefineSite is the compile-time constant for a variable declaration.

@@ -110,6 +110,9 @@ go test ./internal/harness -run '^$' -fuzz FuzzVMEquivalence -fuzztime 5s
 echo "== interp fuzz smoke (no panic within fuel, -race)"
 go test ./internal/interp -run '^$' -fuzz FuzzInterpNoPanicWithinFuel -fuzztime 5s -race
 
+echo "== label collector fuzz smoke (collector = recursive-walk oracle, -race)"
+go test ./internal/dift -run '^$' -fuzz FuzzDataLabelsEquivalence -fuzztime 5s -race
+
 echo "== resolver equivalence fuzz smoke (slot env = map env)"
 go test ./internal/resolve -run '^$' -fuzz FuzzResolveEquivalence -fuzztime 5s -race
 
