@@ -39,11 +39,12 @@
 // selective-version structured trace JSON (virtual-clock timestamps).
 // -profile FILE writes a pprof CPU profile of the whole run.
 //
-// Execution-mode flags: -noresolve runs every interpreter on the map-walk
-// environment with the resolver fast paths disabled (the A/B escape
-// hatch). -bench runs the slot-env vs map-walk interpreter
-// microbenchmarks (-benchrepeats best-of repeats) and -benchout FILE
-// writes the report JSON (the committed BENCH_*.json artifacts).
+// Engine flag: -engine walker runs every interpreter on the tree-walker,
+// the bytecode VM's differential oracle, instead of the VM (-engine vm,
+// the default). Every report is byte-identical on both engines. -bench
+// runs the slot-env vs map-walk interpreter microbenchmarks
+// (-benchrepeats best-of repeats) and -benchout FILE writes the report
+// JSON (the committed BENCH_*.json artifacts).
 //
 // Generated-corpus mode: -gen N generates and scores N seeded stratified
 // apps (-genseed S selects the population; same (N, seed) → byte-identical
@@ -83,6 +84,7 @@ import (
 	"turnstile/internal/corpus"
 	"turnstile/internal/faults"
 	"turnstile/internal/harness"
+	"turnstile/internal/interp"
 	"turnstile/internal/telemetry"
 	"turnstile/internal/workload"
 )
@@ -110,8 +112,8 @@ func main() {
 	metrics := flag.Bool("metrics", false, "emit the per-app DIFT overhead-breakdown tables")
 	traceDir := flag.String("trace", "", "write per-app selective-version trace JSON into this directory (implies -metrics)")
 	profileOut := flag.String("profile", "", "write a pprof CPU profile of the whole run to this file")
-	noResolve := flag.Bool("noresolve", false, "run interpreters on the map-walk env with resolver fast paths disabled (A/B escape hatch)")
-	noVM := flag.Bool("novm", false, "run interpreters on the tree-walking evaluator with the bytecode VM disabled (differential oracle)")
+	var engine interp.Engine
+	flag.TextVar(&engine, "engine", interp.EngineVM, "execution engine: vm or walker (the VM's differential oracle)")
 	bench := flag.Bool("bench", false, "run the slot-env vs map-walk interpreter microbenchmarks")
 	benchOut := flag.String("benchout", "", "also write the microbenchmark report JSON to this file (e.g. BENCH_baseline.json)")
 	benchRepeats := flag.Int("benchrepeats", 5, "best-of repeats per microbenchmark mode")
@@ -255,7 +257,7 @@ func main() {
 			targets = filterRunnable(apps, *appsFilter)
 		}
 		opts := harness.E2Options{Messages: *messages, Warmup: *warmup, Repeats: *repeats,
-			Parallel: *parallel, Cache: cache, NoResolve: *noResolve, NoVM: *noVM}
+			Parallel: *parallel, Cache: cache, Engine: engine}
 		fmt.Printf("measuring %d app(s) × 3 versions × %d messages on %d worker(s)...\n",
 			len(targets), opts.Messages, *parallel)
 		ms, err := harness.MeasureApps(targets, opts)
@@ -304,7 +306,7 @@ func main() {
 		}
 		res, err := harness.RunBreakdown(targets, harness.BreakdownOptions{
 			Messages: *messages, Parallel: *parallel, Cache: cache, TraceCapacity: traceCap,
-			NoResolve: *noResolve, NoVM: *noVM,
+			Engine: engine,
 		})
 		if err != nil {
 			fatal(err)
@@ -339,7 +341,7 @@ func main() {
 		}
 		res, err := harness.RunChaos(targets, harness.ChaosOptions{
 			Seed: *faultSeed, Messages: *messages, Parallel: *parallel,
-			Cache: cache, Schedule: schedule, NoResolve: *noResolve, NoVM: *noVM,
+			Cache: cache, Schedule: schedule, Engine: engine,
 		})
 		if err != nil {
 			fatal(err)
@@ -364,7 +366,7 @@ func main() {
 				fatal(err)
 			}
 		}
-		res, err := harness.RunCrashCorpus(harness.CrashOptions{Parallel: *parallel, Schedule: schedule, NoResolve: *noResolve, NoVM: *noVM})
+		res, err := harness.RunCrashCorpus(harness.CrashOptions{Parallel: *parallel, Schedule: schedule, Engine: engine})
 		if err != nil {
 			fatal(err)
 		}
@@ -378,7 +380,7 @@ func main() {
 	}
 
 	if *attack {
-		res, err := harness.RunAttackCorpus(harness.AttackOptions{Parallel: *parallel, NoResolve: *noResolve, NoVM: *noVM})
+		res, err := harness.RunAttackCorpus(harness.AttackOptions{Parallel: *parallel, Engine: engine})
 		if err != nil {
 			fatal(err)
 		}
@@ -396,7 +398,7 @@ func main() {
 
 	if *gen > 0 {
 		res, err := harness.RunGenCorpus(harness.GenOptions{
-			N: *gen, Seed: *genSeed, Parallel: *parallel, NoResolve: *noResolve, NoVM: *noVM,
+			N: *gen, Seed: *genSeed, Parallel: *parallel, Engine: engine,
 		})
 		if err != nil {
 			fatal(err)

@@ -87,6 +87,7 @@ func usage() {
                 [-fuel N] [-maxdepth N] [-maxalloc N] [-deadline N] resource budgets (0 = off)
                 [-failclosed]                                       deny sinks after a guard trip
                 [-metrics] [-trace out.json] [-profile cpu.pprof]   observability hooks
+                [-engine vm|walker]                                 execution engine (walker: the VM's oracle)
   turnstile check-policy <policy.json>                validate an IFC policy
   turnstile corpus [name]                             list the evaluation corpus / dump one app
   turnstile attack [name | -run]                      list the adversarial attack corpus / dump one app / score it
@@ -247,8 +248,8 @@ func cmdRun(args []string) error {
 	metrics := fs.Bool("metrics", false, "print the telemetry metrics table after the run")
 	traceOut := fs.String("trace", "", "write the structured event trace to this file (chrome-trace format with a .chrome.json suffix, JSON otherwise)")
 	profileOut := fs.String("profile", "", "write a pprof CPU profile of the run to this file")
-	noResolve := fs.Bool("noresolve", false, "run on the map-walk env with resolver fast paths disabled (A/B escape hatch)")
-	noVM := fs.Bool("novm", false, "run on the tree-walking evaluator with the bytecode VM disabled (differential oracle)")
+	var engine interp.Engine
+	fs.TextVar(&engine, "engine", interp.EngineVM, "execution engine: vm or walker (the VM's differential oracle)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -291,8 +292,7 @@ func cmdRun(args []string) error {
 		}
 	}
 	opts.FailClosed = *failClosed
-	opts.NoResolve = *noResolve
-	opts.NoVM = *noVM
+	opts.Engine = engine
 	if *metrics {
 		opts.Metrics = telemetry.NewMetrics()
 	}

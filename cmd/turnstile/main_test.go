@@ -111,6 +111,29 @@ func TestCmdRun(t *testing.T) {
 	}
 }
 
+// TestCmdRunEngines: run accepts -engine, and both engines print the same
+// run, violations included.
+func TestCmdRunEngines(t *testing.T) {
+	app := writeTemp(t, "app.js", testApp)
+	pol := writeTemp(t, "policy.json", testPolicy)
+	var outs []string
+	for _, engine := range []string{"vm", "walker"} {
+		out, err := capture(t, func() error {
+			return cmdRun([]string{"-policy", pol, "-messages", "3", "-enforce=false", "-engine", engine, app})
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		outs = append(outs, out)
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("engines disagree:\n--- vm\n%s--- walker\n%s", outs[0], outs[1])
+	}
+	if !strings.Contains(outs[0], "violation") {
+		t.Fatalf("the run recorded no violation, so the comparison is vacuous:\n%s", outs[0])
+	}
+}
+
 func TestCmdCheckPolicy(t *testing.T) {
 	pol := writeTemp(t, "policy.json", testPolicy)
 	out, err := capture(t, func() error { return cmdCheckPolicy([]string{pol}) })

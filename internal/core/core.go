@@ -22,7 +22,6 @@ import (
 	"turnstile/internal/resolve"
 	"turnstile/internal/taint"
 	"turnstile/internal/telemetry"
-	"turnstile/internal/vm"
 )
 
 // Options configures the pipeline.
@@ -57,20 +56,9 @@ type Options struct {
 	// the runtime before deployment, so load-time host operations are
 	// subject to the schedule too.
 	Faults *faults.Schedule
-	// NoResolve skips the static scope-resolution pass on the deployed
-	// programs and disables the interpreter's slot/inline-cache fast
-	// paths, restoring the pure map-walk execution for A/B comparison.
-	NoResolve bool
-	// NoVM disables the bytecode VM on the deployed runtime, keeping the
-	// tree-walking evaluator (the differential oracle) as the execution
-	// engine. Implied by NoResolve — the VM builds on resolved programs.
-	NoVM bool
-	// ArtifactCache, when non-nil, serves instrumented programs from the
-	// content-addressed compiled-bytecode cache: N deployments of the same
-	// instrumented source (e.g. serve tenants of one app) share one
-	// re-parse + resolve + compile. Ignored under NoResolve/NoVM, whose
-	// execution modes never touch compiled artifacts.
-	ArtifactCache *vm.Cache
+	// Engine selects the deployed runtime's execution engine: the bytecode
+	// VM (the zero value) or the tree-walker, the VM's differential oracle.
+	Engine interp.Engine
 }
 
 // DefaultOptions returns the paper's configuration: selective
@@ -128,8 +116,7 @@ func Manage(sources map[string]string, policyJSON string, opts Options) (*Manage
 	}
 
 	ip := interp.New()
-	ip.NoResolve = opts.NoResolve
-	ip.NoVM = opts.NoVM
+	ip.Engine = opts.Engine
 	if opts.Faults != nil {
 		ip.InstallFaults(opts.Faults)
 	}
@@ -192,38 +179,20 @@ func Manage(sources map[string]string, policyJSON string, opts Options) (*Manage
 		}
 		app.Instrumented[f.Name] = src
 		app.Results[f.Name] = res
-		build := func() (*ast.Program, error) {
-			prog, err := parser.Parse(f.Name, src)
-			if err != nil {
-				return nil, fmt.Errorf("core: instrumented %s does not re-parse: %w", f.Name, err)
-			}
-			if !opts.NoResolve {
-				// resolution must run on the re-parsed program: annotations do
-				// not survive printing
-				r := resolve.Resolve(prog)
-				if opts.Metrics != nil {
-					opts.Metrics.Add(telemetry.CtrResolveScopes, int64(r.Scopes))
-					opts.Metrics.Add(telemetry.CtrResolveSlots, int64(r.Slots))
-					opts.Metrics.Add(telemetry.CtrResolveResolved, int64(r.Resolved))
-					opts.Metrics.Add(telemetry.CtrResolveDynamic, int64(r.Dynamic))
-				}
-			}
-			return prog, nil
+		prog, err := parser.Parse(f.Name, src)
+		if err != nil {
+			return nil, fmt.Errorf("core: instrumented %s does not re-parse: %w", f.Name, err)
 		}
-		if opts.ArtifactCache != nil && !opts.NoResolve && !opts.NoVM {
-			prog, mod, err := opts.ArtifactCache.Load(f.Name, src, build)
-			if err != nil {
-				return nil, err
-			}
-			ip.RegisterCode(prog, mod)
-			managed[f.Name] = prog
-		} else {
-			prog, err := build()
-			if err != nil {
-				return nil, err
-			}
-			managed[f.Name] = prog
+		// resolution must run on the re-parsed program: annotations do not
+		// survive printing
+		r := resolve.Resolve(prog)
+		if opts.Metrics != nil {
+			opts.Metrics.Add(telemetry.CtrResolveScopes, int64(r.Scopes))
+			opts.Metrics.Add(telemetry.CtrResolveSlots, int64(r.Slots))
+			opts.Metrics.Add(telemetry.CtrResolveResolved, int64(r.Resolved))
+			opts.Metrics.Add(telemetry.CtrResolveDynamic, int64(r.Dynamic))
 		}
+		managed[f.Name] = prog
 	}
 
 	// deploy with local-require support: each file is a module; requiring

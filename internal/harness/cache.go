@@ -8,33 +8,12 @@ import (
 
 	"turnstile/internal/ast"
 	"turnstile/internal/baseline"
+	"turnstile/internal/interp"
 	"turnstile/internal/parser"
 	"turnstile/internal/resolve"
 	"turnstile/internal/taint"
 	"turnstile/internal/vm"
 )
-
-// ExecMode identifies the execution engine a pipeline artifact is
-// prepared for. It is part of the cache key: a compiled bytecode module
-// must never be served to a -novm (tree-walker) or -noresolve (map-walk)
-// run, mirroring the policy-aliasing keying fix — aliasing execution
-// modes onto one entry is how a differential harness silently stops
-// being differential.
-type ExecMode struct {
-	NoResolve bool
-	NoVM      bool
-}
-
-func (m ExecMode) String() string {
-	switch {
-	case m.NoResolve:
-		return "noresolve"
-	case m.NoVM:
-		return "walker"
-	default:
-		return "vm"
-	}
-}
 
 // PipelineCache memoizes the front half of the experiment pipeline per
 // application: the parsed AST and the dataflow-analysis result, keyed by a
@@ -65,7 +44,7 @@ type cacheEntry struct {
 	once     sync.Once
 	prog     *ast.Program
 	analysis *taint.Result
-	mod      *vm.Module // compiled bytecode; only for ExecMode vm entries
+	mod      *vm.Module // compiled bytecode; only for EngineVM entries
 	err      error
 
 	// the baseline result is only needed by E1, so it is computed lazily
@@ -94,22 +73,24 @@ func (c *PipelineCache) Stats() CacheStats {
 }
 
 // cacheKey hashes the identity of one pipeline run: file name, source
-// text, the analysis configuration, and the execution mode the artifact
-// is prepared for.
-func cacheKey(file, source string, opts taint.Options, mode ExecMode) string {
+// text, the analysis configuration, and the engine the artifact is
+// prepared for. The engine is part of the key: a compiled bytecode module
+// must never be served to a tree-walker run — aliasing engines onto one
+// entry is how a differential harness silently stops being differential.
+func cacheKey(file, source string, opts taint.Options, engine interp.Engine) string {
 	h := sha256.New()
 	h.Write([]byte(file))
 	h.Write([]byte{0})
 	h.Write([]byte(source))
 	h.Write([]byte{0})
-	h.Write([]byte(mode.String()))
+	h.Write([]byte(engine.String()))
 	h.Write([]byte{0})
 	fmt.Fprintf(h, "%+v", opts)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func (c *PipelineCache) entry(file, source string, opts taint.Options, mode ExecMode) *cacheEntry {
-	key := cacheKey(file, source, opts, mode)
+func (c *PipelineCache) entry(file, source string, opts taint.Options, engine interp.Engine) *cacheEntry {
+	key := cacheKey(file, source, opts, engine)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]
@@ -123,21 +104,18 @@ func (c *PipelineCache) entry(file, source string, opts taint.Options, mode Exec
 	return e
 }
 
-func (e *cacheEntry) analyze(file, source string, opts taint.Options, mode ExecMode) (*ast.Program, *taint.Result, error) {
+func (e *cacheEntry) analyze(file, source string, opts taint.Options, engine interp.Engine) (*ast.Program, *taint.Result, error) {
 	e.once.Do(func() {
 		prog, err := parser.Parse(file, source)
 		if err != nil {
 			e.err = err
 			return
 		}
-		// annotate before publication: the entry stays immutable afterwards.
-		// Annotations are inert on interpreters running with NoResolve, and
-		// entries are keyed by execution mode, so no mode ever observes an
-		// artifact prepared for another.
+		// annotate before publication: the entry stays immutable afterwards
 		resolve.Resolve(prog)
 		e.prog = prog
 		e.analysis = taint.Analyze([]taint.File{{Name: file, Prog: prog}}, opts)
-		if !mode.NoResolve && !mode.NoVM {
+		if engine == interp.EngineVM {
 			// VM entries carry the compiled bytecode so every worker sharing
 			// the cache shares one compile of the program
 			e.mod = vm.Compile(prog)
@@ -148,28 +126,27 @@ func (e *cacheEntry) analyze(file, source string, opts taint.Options, mode ExecM
 
 // Analyzed returns the parsed AST and dataflow analysis for one source
 // file, computing them on first use. The returned values are shared and
-// must be treated as read-only. The entry is keyed for the default (VM)
-// execution mode; use AnalyzedMode for the tree-walk or map-walk engines.
+// must be treated as read-only. The entry is keyed for the VM engine; use
+// AnalyzedFor for the tree-walker.
 func (c *PipelineCache) Analyzed(file, source string, opts taint.Options) (*ast.Program, *taint.Result, error) {
-	prog, analysis, _, err := c.AnalyzedMode(file, source, opts, ExecMode{})
+	prog, analysis, _, err := c.AnalyzedFor(file, source, opts, interp.EngineVM)
 	return prog, analysis, err
 }
 
-// AnalyzedMode is Analyzed keyed by execution mode; for the VM mode the
-// compiled bytecode module for the cached program is returned alongside
-// (nil in the other modes — a -novm run must never receive a compiled
-// artifact).
-func (c *PipelineCache) AnalyzedMode(file, source string, opts taint.Options, mode ExecMode) (*ast.Program, *taint.Result, *vm.Module, error) {
-	e := c.entry(file, source, opts, mode)
-	prog, analysis, err := e.analyze(file, source, opts, mode)
+// AnalyzedFor is Analyzed keyed by engine; for the VM the compiled
+// bytecode module for the cached program is returned alongside (nil for
+// the walker — a walker run must never receive a compiled artifact).
+func (c *PipelineCache) AnalyzedFor(file, source string, opts taint.Options, engine interp.Engine) (*ast.Program, *taint.Result, *vm.Module, error) {
+	e := c.entry(file, source, opts, engine)
+	prog, analysis, err := e.analyze(file, source, opts, engine)
 	return prog, analysis, e.mod, err
 }
 
 // Baseline returns the CodeQL-equivalent baseline result for one source
 // file, computing it (and the parse, if needed) on first use.
 func (c *PipelineCache) Baseline(file, source string, opts taint.Options) (*baseline.Result, error) {
-	e := c.entry(file, source, opts, ExecMode{})
-	if _, _, err := e.analyze(file, source, opts, ExecMode{}); err != nil {
+	e := c.entry(file, source, opts, interp.EngineVM)
+	if _, _, err := e.analyze(file, source, opts, interp.EngineVM); err != nil {
 		return nil, err
 	}
 	e.baseOnce.Do(func() {
@@ -180,9 +157,9 @@ func (c *PipelineCache) Baseline(file, source string, opts taint.Options) (*base
 
 // analyzedApp resolves one corpus app through the cache, or directly when
 // cache is nil.
-func analyzedApp(cache *PipelineCache, file, source string, opts taint.Options, mode ExecMode) (*ast.Program, *taint.Result, *vm.Module, error) {
+func analyzedApp(cache *PipelineCache, file, source string, opts taint.Options, engine interp.Engine) (*ast.Program, *taint.Result, *vm.Module, error) {
 	if cache != nil {
-		return cache.AnalyzedMode(file, source, opts, mode)
+		return cache.AnalyzedFor(file, source, opts, engine)
 	}
 	prog, err := parser.Parse(file, source)
 	if err != nil {

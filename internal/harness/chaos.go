@@ -6,6 +6,7 @@ import (
 
 	"turnstile/internal/corpus"
 	"turnstile/internal/faults"
+	"turnstile/internal/interp"
 )
 
 // Chaos mode replays the runnable corpus under deterministic fault
@@ -32,11 +33,8 @@ type ChaosOptions struct {
 	// Schedule, when non-nil, replaces the generated per-app schedules
 	// with one fixed schedule for every app (the -faultschedule file).
 	Schedule *faults.Schedule
-	// NoResolve runs every version on the map-walk interpreter with the
-	// resolver fast paths disabled (A/B escape hatch).
-	NoResolve bool
-	// NoVM runs every version on the tree-walking evaluator (-novm).
-	NoVM bool
+	// Engine runs every version on the VM (default) or the tree-walker.
+	Engine interp.Engine
 }
 
 // ChaosAppResult is one app's outcome under fault injection.
@@ -91,7 +89,7 @@ type chaosVersion struct {
 }
 
 func chaosApp(app *corpus.App, opts ChaosOptions) (ChaosAppResult, error) {
-	prep, err := PrepareAppMode(app, opts.Cache, ExecMode{NoResolve: opts.NoResolve, NoVM: opts.NoVM})
+	prep, err := PrepareAppEngine(app, opts.Cache, opts.Engine)
 	if err != nil {
 		return ChaosAppResult{}, fmt.Errorf("harness: %s: %w", app.Name, err)
 	}

@@ -36,7 +36,7 @@ const cnfDiffMessages = 12
 func cnfDigest(app *corpus.App, policyJSON string) (string, error) {
 	clone := *app
 	clone.PolicyJSON = policyJSON
-	prep, err := PrepareAppOpt(&clone, nil, false)
+	prep, err := PrepareAppCached(&clone, nil)
 	if err != nil {
 		return "", err
 	}

@@ -87,11 +87,8 @@ type CrashOptions struct {
 	// Schedule, when non-nil, additionally injects faults while the
 	// adversarial programs run (the -chaos composition).
 	Schedule *faults.Schedule
-	// NoResolve deploys each app on the map-walk interpreter with the
-	// resolver fast paths disabled (A/B escape hatch).
-	NoResolve bool
-	// NoVM deploys each app on the tree-walking evaluator (-novm).
-	NoVM bool
+	// Engine deploys each app on the VM (default) or the tree-walker.
+	Engine interp.Engine
 }
 
 // CrashAppResult is one app's outcome.
@@ -143,8 +140,7 @@ func crashOne(ca CrashApp, opts CrashOptions) (CrashAppResult, error) {
 	copts.Guard = &lim
 	copts.FailClosed = true
 	copts.Faults = opts.Schedule
-	copts.NoResolve = opts.NoResolve
-	copts.NoVM = opts.NoVM
+	copts.Engine = opts.Engine
 	_, runErr := core.Manage(map[string]string{ca.Name + ".js": string(src)}, pol, copts)
 	kind, detail := ClassifyCrash(runErr)
 	return CrashAppResult{App: ca.Name, Want: ca.Want, Kind: kind, Detail: detail, OK: kind == ca.Want}, nil

@@ -5,6 +5,7 @@ import (
 
 	"turnstile/internal/corpus"
 	"turnstile/internal/instrument"
+	"turnstile/internal/interp"
 )
 
 // FuzzGenCorpus drives the whole generate→deploy→pump→score pipeline from
@@ -28,10 +29,7 @@ func FuzzGenCorpus(f *testing.F) {
 		if err := app.CheckConsistency(); err != nil {
 			t.Fatalf("inconsistent ground truth: %v", err)
 		}
-		res, err := genOne(app, GenOptions{})
-		if err != nil {
-			t.Fatalf("genOne: %v", err)
-		}
+		res := genOne(app, GenOptions{})
 		if res.Err != "" {
 			t.Fatalf("%s failed to deploy or run: %s", app.Name, res.Err)
 		}
@@ -43,7 +41,7 @@ func FuzzGenCorpus(f *testing.F) {
 
 // FuzzVMEquivalence is the differential fuzz target for the bytecode VM:
 // any generated (seed, stratum, size) coordinate, deployed exhaustively
-// with the VM and again on the -novm tree-walker, must produce
+// with the VM and again on the tree-walker, must produce
 // byte-identical observable records — sink traces, per-message errors,
 // violations with full label text, and tracker statistics. A divergence
 // here is a VM semantics bug by definition: the tree-walker is the
@@ -62,11 +60,11 @@ func FuzzVMEquivalence(f *testing.F) {
 		}
 		base := genVariant{mode: instrument.Exhaustive}
 		walker := base
-		walker.noVM = true
+		walker.engine = interp.EngineWalker
 		vmSig := genRun(app, base, false)
 		walkSig := genRun(app, walker, false)
 		if vmSig != walkSig {
-			t.Fatalf("%s (stratum %s, seed %#x): VM and tree-walker diverged:\n-- vm --\n%s\n-- novm --\n%s",
+			t.Fatalf("%s (stratum %s, seed %#x): VM and tree-walker diverged:\n-- vm --\n%s\n-- walker --\n%s",
 				app.Name, stratum, seed, vmSig, walkSig)
 		}
 	})

@@ -48,7 +48,7 @@ func genValue(v any, depth int) string {
 
 // The metamorphic battery: every generated stratum, at many seeds, is run
 // under pairs of configurations that must be observably equivalent —
-// slot-env vs map-walk interpretation, flat vs mirrored-CNF policies,
+// bytecode VM vs tree-walker, flat vs mirrored-CNF policies,
 // selective vs exhaustive instrumentation transparency, chaos replay
 // under a shared fault schedule, and fail-closed crash agreement. The
 // generator gives these relations breadth the hand-written corpora cannot:
@@ -82,8 +82,7 @@ func metaApps(t *testing.T) []*corpus.GenApp {
 // genVariant is one deployment configuration of a generated app.
 type genVariant struct {
 	mode       instrument.Mode
-	noResolve  bool
-	noVM       bool
+	engine     interp.Engine
 	policy     string // empty selects ga.Policy
 	schedule   *faults.Schedule
 	limits     *guard.Limits
@@ -101,8 +100,7 @@ func genRun(ga *corpus.GenApp, v genVariant, labelFree bool) string {
 	copts.Mode = v.mode
 	copts.ImplicitFlows = true
 	copts.Enforce = v.enforce
-	copts.NoResolve = v.noResolve
-	copts.NoVM = v.noVM
+	copts.Engine = v.engine
 	copts.Faults = v.schedule
 	copts.Guard = v.limits
 	copts.FailClosed = v.failClosed
@@ -173,22 +171,7 @@ func requireAgreement(t *testing.T, what string, apps []*corpus.GenApp, a, b fun
 	}
 }
 
-// TestGenMetamorphicSlotMap: the slot-env fast path and the -noresolve
-// map walk must be observably identical on every generated app — writes,
-// violations with full label text, and tracker statistics.
-func TestGenMetamorphicSlotMap(t *testing.T) {
-	apps := metaApps(t)
-	base := genVariant{mode: instrument.Exhaustive}
-	requireAgreement(t, "slot≡map", apps,
-		func(ga *corpus.GenApp) string { return genRun(ga, base, false) },
-		func(ga *corpus.GenApp) string {
-			v := base
-			v.noResolve = true
-			return genRun(ga, v, false)
-		})
-}
-
-// TestGenMetamorphicVMWalker: the bytecode VM and the -novm tree-walker
+// TestGenMetamorphicVMWalker: the bytecode VM and the tree-walker
 // must be observably identical on every generated app, at every stratum
 // and seed — writes, violations with full label text, and tracker
 // statistics. This is the generator-breadth arm of the VM differential
@@ -200,7 +183,7 @@ func TestGenMetamorphicVMWalker(t *testing.T) {
 		func(ga *corpus.GenApp) string { return genRun(ga, base, false) },
 		func(ga *corpus.GenApp) string {
 			v := base
-			v.noVM = true
+			v.engine = interp.EngineWalker
 			return genRun(ga, v, false)
 		})
 }
@@ -219,7 +202,7 @@ func TestGenMetamorphicVMCrashAgreement(t *testing.T) {
 		func(ga *corpus.GenApp) string { return genRun(ga, base, false) },
 		func(ga *corpus.GenApp) string {
 			v := base
-			v.noVM = true
+			v.engine = interp.EngineWalker
 			return genRun(ga, v, false)
 		})
 }
@@ -284,21 +267,4 @@ func TestGenMetamorphicChaos(t *testing.T) {
 	requireAgreement(t, "chaos sel≡exh", apps,
 		func(ga *corpus.GenApp) string { return digest(ga, instrument.Selective) },
 		func(ga *corpus.GenApp) string { return digest(ga, instrument.Exhaustive) })
-}
-
-// TestGenMetamorphicCrashAgreement: under a tight guard budget with the
-// tracker fail-closed and enforcement on, the slot and map interpreters
-// must agree on the entire outcome — including which budget error (if
-// any) kills the app and what was written before it died.
-func TestGenMetamorphicCrashAgreement(t *testing.T) {
-	apps := metaApps(t)
-	lim := guard.Limits{Fuel: 60_000, MaxDepth: 64, MaxAlloc: 1 << 16}
-	base := genVariant{mode: instrument.Exhaustive, limits: &lim, failClosed: true, enforce: true}
-	requireAgreement(t, "crash slot≡map", apps,
-		func(ga *corpus.GenApp) string { return genRun(ga, base, false) },
-		func(ga *corpus.GenApp) string {
-			v := base
-			v.noResolve = true
-			return genRun(ga, v, false)
-		})
 }

@@ -12,12 +12,11 @@ import (
 )
 
 // Interpreter microbenchmarks comparing the slot-indexed environment fast
-// path against the map-walk fallback (the -noresolve escape hatch), and
-// the bytecode VM against both. Each workload is one MiniJS program
-// stressing a single interpreter dimension; the same parsed AST runs on
-// every execution mode (annotations are inert under NoResolve), so any
-// delta is attributable to the environment representation, the inline
-// caches and the dispatch strategy alone.
+// path against the map walk the resolver replaced (an unresolved program
+// on an interpreter with NoResolve set), and the bytecode VM against
+// both. Each workload is one MiniJS program stressing a single interpreter
+// dimension, so any delta is attributable to the environment
+// representation, the inline caches and the dispatch strategy alone.
 
 // MicrobenchPrograms are the three workloads of the bench gate. The inner
 // iteration counts are sized so one run takes a few milliseconds on the
@@ -105,7 +104,7 @@ for (let r = 0; r < 30; r = r + 1) {
 type MicrobenchResult struct {
 	Name string `json:"name"`
 	// SlotNs / MapNs are best-of-repeats wall times for one full program
-	// run on the resolved (slot) and -noresolve (map-walk) interpreters.
+	// run on the resolved (slot) and NoResolve (map-walk) tree-walkers.
 	SlotNs int64 `json:"slot_ns"`
 	MapNs  int64 `json:"map_ns"`
 	// Speedup is MapNs / SlotNs (>1 means the slot path is faster).
@@ -131,11 +130,11 @@ func RunMicrobench(repeats int) (*MicrobenchReport, error) {
 	}
 	rep := &MicrobenchReport{Tool: "turnstile-bench -bench", Repeats: repeats}
 	for _, p := range MicrobenchPrograms {
-		slot, err := benchProgram(p.Name, p.Source, false, true, repeats)
+		slot, err := benchProgram(p.Name, p.Source, interp.EngineWalker, false, repeats)
 		if err != nil {
 			return nil, err
 		}
-		mp, err := benchProgram(p.Name, p.Source, true, true, repeats)
+		mp, err := benchProgram(p.Name, p.Source, interp.EngineWalker, true, repeats)
 		if err != nil {
 			return nil, err
 		}
@@ -149,8 +148,8 @@ func RunMicrobench(repeats int) (*MicrobenchReport, error) {
 }
 
 // VMMicrobenchResult is one workload's measurement across the three
-// execution modes: bytecode VM, slot-env tree-walker (-novm) and map-walk
-// tree-walker (-noresolve).
+// execution modes: bytecode VM, slot-env tree-walker and map-walk
+// tree-walker.
 type VMMicrobenchResult struct {
 	Name   string `json:"name"`
 	VMNs   int64  `json:"vm_ns"`
@@ -178,15 +177,15 @@ func RunVMMicrobench(repeats int) (*VMMicrobenchReport, error) {
 	}
 	rep := &VMMicrobenchReport{Tool: "turnstile-bench -benchvm", Repeats: repeats}
 	for _, p := range MicrobenchPrograms {
-		vmT, err := benchProgram(p.Name, p.Source, false, false, repeats)
+		vmT, err := benchProgram(p.Name, p.Source, interp.EngineVM, false, repeats)
 		if err != nil {
 			return nil, err
 		}
-		slot, err := benchProgram(p.Name, p.Source, false, true, repeats)
+		slot, err := benchProgram(p.Name, p.Source, interp.EngineWalker, false, repeats)
 		if err != nil {
 			return nil, err
 		}
-		mp, err := benchProgram(p.Name, p.Source, true, true, repeats)
+		mp, err := benchProgram(p.Name, p.Source, interp.EngineWalker, true, repeats)
 		if err != nil {
 			return nil, err
 		}
@@ -202,13 +201,13 @@ func RunVMMicrobench(repeats int) (*VMMicrobenchReport, error) {
 
 // benchProgram parses (and, unless noResolve, resolves) one workload and
 // returns the best-of-repeats wall time of a full run on a fresh
-// interpreter in the requested execution mode. The AST is shared across
+// interpreter on the requested engine. The AST is shared across
 // repeats — exactly how the pipeline cache shares programs — so parse
 // cost is excluded; bytecode compilation happens once on the first VM
 // repeat and is shared through the interpreter's program-module table
 // only within a repeat (each repeat gets a fresh interpreter, so compile
 // cost is included in every VM sample, biasing against the VM).
-func benchProgram(name, src string, noResolve, noVM bool, repeats int) (time.Duration, error) {
+func benchProgram(name, src string, engine interp.Engine, noResolve bool, repeats int) (time.Duration, error) {
 	prog, err := parser.Parse(name+".js", src)
 	if err != nil {
 		return 0, fmt.Errorf("harness: microbench %s: %w", name, err)
@@ -219,11 +218,11 @@ func benchProgram(name, src string, noResolve, noVM bool, repeats int) (time.Dur
 	best := time.Duration(0)
 	for r := 0; r < repeats; r++ {
 		ip := interp.New()
+		ip.Engine = engine
 		ip.NoResolve = noResolve
-		ip.NoVM = noVM
 		start := time.Now()
 		if err := ip.Run(prog); err != nil {
-			return 0, fmt.Errorf("harness: microbench %s (noresolve=%v novm=%v): %w", name, noResolve, noVM, err)
+			return 0, fmt.Errorf("harness: microbench %s (%v, noresolve=%v): %w", name, engine, noResolve, err)
 		}
 		if d := time.Since(start); r == 0 || d < best {
 			best = d

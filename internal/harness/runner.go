@@ -56,26 +56,18 @@ func PrepareApp(app *corpus.App) (*PreparedApp, error) {
 // being re-parsed. Safe to call from multiple goroutines with one shared
 // cache.
 func PrepareAppCached(app *corpus.App, cache *PipelineCache) (*PreparedApp, error) {
-	return PrepareAppOpt(app, cache, false)
+	return PrepareAppEngine(app, cache, interp.EngineVM)
 }
 
-// PrepareAppOpt is PrepareAppCached with an execution-mode switch:
-// noResolve runs all three versions on the map-walk interpreter with the
-// resolver fast paths disabled.
-func PrepareAppOpt(app *corpus.App, cache *PipelineCache, noResolve bool) (*PreparedApp, error) {
-	return PrepareAppMode(app, cache, ExecMode{NoResolve: noResolve})
-}
-
-// PrepareAppMode is the fully mode-aware preparation entry point: the
-// pipeline cache is keyed by the execution mode, all three versions run
-// on the selected engine, and in VM mode the original version reuses the
-// cache's compiled bytecode module.
-func PrepareAppMode(app *corpus.App, cache *PipelineCache, execMode ExecMode) (*PreparedApp, error) {
+// PrepareAppEngine is PrepareAppCached on a chosen engine: the pipeline
+// cache is keyed by the engine, all three versions run on it, and on the
+// VM the original version reuses the cache's compiled bytecode module.
+func PrepareAppEngine(app *corpus.App, cache *PipelineCache, engine interp.Engine) (*PreparedApp, error) {
 	if !app.Runnable {
 		return nil, fmt.Errorf("harness: app %s is not runnable", app.Name)
 	}
 	file := app.Name + ".js"
-	prog, analysis, mod, err := analyzedApp(cache, file, app.Source, taint.DefaultOptions(), execMode)
+	prog, analysis, mod, err := analyzedApp(cache, file, app.Source, taint.DefaultOptions(), engine)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +75,7 @@ func PrepareAppMode(app *corpus.App, cache *PipelineCache, execMode ExecMode) (*
 	prep := &PreparedApp{App: app, Analysis: analysis}
 
 	// original: no tracker, no instrumentation
-	orig, err := loadRunner(app, "original", prog, mod, false, execMode)
+	orig, err := loadRunner(app, "original", prog, mod, false, engine)
 	if err != nil {
 		return nil, fmt.Errorf("original version: %w", err)
 	}
@@ -92,8 +84,7 @@ func PrepareAppMode(app *corpus.App, cache *PipelineCache, execMode ExecMode) (*
 	// helper building an instrumented version
 	build := func(mode instrument.Mode, sel instrument.Selection) (*Runner, *instrument.Result, error) {
 		ip := interp.New()
-		ip.NoResolve = execMode.NoResolve
-		ip.NoVM = execMode.NoVM
+		ip.Engine = engine
 		pol, err := policy.ParseJSON([]byte(app.PolicyJSON), ip.CompileLabelFunc)
 		if err != nil {
 			return nil, nil, fmt.Errorf("policy: %w", err)
@@ -112,9 +103,7 @@ func PrepareAppMode(app *corpus.App, cache *PipelineCache, execMode ExecMode) (*
 		if err != nil {
 			return nil, nil, fmt.Errorf("instrumented output does not re-parse: %w", err)
 		}
-		if !execMode.NoResolve {
-			resolve.Resolve(inst)
-		}
+		resolve.Resolve(inst)
 		tr := ip.InstallTracker(pol)
 		tr.Enforce = false // audit mode for performance runs (§6.2)
 		if err := ip.Run(inst); err != nil {
@@ -140,10 +129,9 @@ func PrepareAppMode(app *corpus.App, cache *PipelineCache, execMode ExecMode) (*
 // loadRunner loads an uninstrumented version from an already-parsed (and
 // possibly cache-shared) program; mod, when non-nil, is the cache-shared
 // compiled bytecode for prog.
-func loadRunner(app *corpus.App, mode string, prog *ast.Program, mod *vm.Module, withTracker bool, execMode ExecMode) (*Runner, error) {
+func loadRunner(app *corpus.App, mode string, prog *ast.Program, mod *vm.Module, withTracker bool, engine interp.Engine) (*Runner, error) {
 	ip := interp.New()
-	ip.NoResolve = execMode.NoResolve
-	ip.NoVM = execMode.NoVM
+	ip.Engine = engine
 	if mod != nil {
 		ip.RegisterCode(prog, mod)
 	}

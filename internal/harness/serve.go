@@ -56,10 +56,8 @@ func (d *HostileDriver) Process(i int, payload string) serve.Outcome {
 	}
 	apps := corpus.AttackApps()
 	aa := apps[(i/2)%len(apps)]
-	res, err := attackOne(aa, AttackOptions{})
+	res := attackOne(aa, AttackOptions{})
 	switch {
-	case err != nil:
-		out.Kind, out.Detail = serve.OutcomeError, firstLine(err.Error())
 	case res.Err != "":
 		out.Kind, out.Detail = serve.OutcomeError, res.Err
 	case res.Caught > 0:

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"turnstile/internal/corpus"
+	"turnstile/internal/interp"
 	"turnstile/internal/telemetry"
 )
 
@@ -15,7 +16,7 @@ import (
 // operations. The attribution is count-based with a fixed documented cost
 // model, never wall-clock-based, so the rendered table is byte-identical
 // across runs, worker counts and machines — the property the golden test
-// and the verify.sh determinism gates compare directly.
+// and TestReportGates compare directly.
 
 // OpOrder is the canonical tracker-op column order of the breakdown table.
 var OpOrder = []string{"label", "binaryOp", "assign", "check", "invoke", "track", "box"}
@@ -96,11 +97,8 @@ type BreakdownOptions struct {
 	// TraceCapacity > 0 also attaches a structured tracer to each version
 	// and exports the selective version's trace into the row.
 	TraceCapacity int
-	// NoResolve runs every version on the map-walk interpreter with the
-	// resolver fast paths disabled (A/B escape hatch).
-	NoResolve bool
-	// NoVM runs every version on the tree-walking evaluator (-novm).
-	NoVM bool
+	// Engine runs every version on the VM (default) or the tree-walker.
+	Engine interp.Engine
 }
 
 // RunBreakdown replays every runnable app's selective and exhaustive
@@ -123,7 +121,7 @@ func RunBreakdown(apps []*corpus.App, opts BreakdownOptions) (*BreakdownResult, 
 }
 
 func breakdownApp(app *corpus.App, opts BreakdownOptions) (BreakdownRow, error) {
-	prep, err := PrepareAppMode(app, opts.Cache, ExecMode{NoResolve: opts.NoResolve, NoVM: opts.NoVM})
+	prep, err := PrepareAppEngine(app, opts.Cache, opts.Engine)
 	if err != nil {
 		return BreakdownRow{}, fmt.Errorf("harness: %s: %w", app.Name, err)
 	}

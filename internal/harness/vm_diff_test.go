@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"turnstile/internal/corpus"
+	"turnstile/internal/interp"
 	"turnstile/internal/taint"
 )
 
@@ -14,13 +17,48 @@ import (
 // console output, error outcomes — across every runnable app, at every
 // worker count, under fault injection and under the attack corpus.
 
+// engineSignature runs all three versions of one app on one engine, with
+// an optional shared pipeline cache, and renders everything observable
+// into a canonical string: the per-message error outcomes, the full sink
+// trace, the recorded violations, the tracker statistics and the console
+// output. Two engines are equivalent iff their signatures are
+// byte-identical.
+func engineSignature(app *corpus.App, cache *PipelineCache, engine interp.Engine, messages int) (string, error) {
+	prep, err := PrepareAppEngine(app, cache, engine)
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", app.Name, err)
+	}
+	var b strings.Builder
+	for _, r := range []*Runner{prep.Original, prep.Selective, prep.Exhaustive} {
+		fmt.Fprintf(&b, "== %s/%s\n", app.Name, r.Mode)
+		for i := 0; i < messages; i++ {
+			if err := r.Process(i); err != nil {
+				fmt.Fprintf(&b, "msg %d: %v\n", i, err)
+			}
+		}
+		for _, w := range r.IP.IO.Writes {
+			fmt.Fprintf(&b, "write: %s.%s %s %v\n", w.Module, w.Op, w.Target, w.Value)
+		}
+		if r.IP.Tracker != nil {
+			for _, v := range r.IP.Tracker.Violations() {
+				fmt.Fprintf(&b, "violation: %v\n", v.Error())
+			}
+			fmt.Fprintf(&b, "stats: %+v\n", r.IP.Tracker.Stats())
+		}
+		for _, line := range r.IP.ConsoleOut {
+			fmt.Fprintf(&b, "console: %s\n", line)
+		}
+	}
+	return b.String(), nil
+}
+
 // vmCorpusSignatures computes every runnable app's signature on one
 // engine with the given worker count.
-func vmCorpusSignatures(t *testing.T, mode ExecMode, parallel, messages int) []string {
+func vmCorpusSignatures(t *testing.T, engine interp.Engine, parallel, messages int) []string {
 	t.Helper()
 	runnable := corpus.Runnable(corpus.All())
 	sigs, err := mapIndexed(len(runnable), parallel, func(i int) (string, error) {
-		return execModeSignature(runnable[i], nil, mode, messages)
+		return engineSignature(runnable[i], nil, engine, messages)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +67,7 @@ func vmCorpusSignatures(t *testing.T, mode ExecMode, parallel, messages int) []s
 }
 
 // TestVMDifferentialFullCorpus compares the VM against the slot-env
-// tree-walker (-novm) on the full corpus, sequentially and with 8
+// tree-walker on the full corpus, sequentially and with 8
 // workers: byte-identical signatures, independent of worker count.
 func TestVMDifferentialFullCorpus(t *testing.T) {
 	const messages = 25
@@ -38,17 +76,17 @@ func TestVMDifferentialFullCorpus(t *testing.T) {
 		t.Fatal("no runnable corpus apps")
 	}
 
-	vmSeq := vmCorpusSignatures(t, ExecMode{}, 1, messages)
-	walkSeq := vmCorpusSignatures(t, ExecMode{NoVM: true}, 1, messages)
+	vmSeq := vmCorpusSignatures(t, interp.EngineVM, 1, messages)
+	walkSeq := vmCorpusSignatures(t, interp.EngineWalker, 1, messages)
 	for i := range vmSeq {
 		if vmSeq[i] != walkSeq[i] {
-			t.Errorf("%s: VM and tree-walker diverged:\n--- vm\n%s--- novm\n%s",
+			t.Errorf("%s: VM and tree-walker diverged:\n--- vm\n%s--- walker\n%s",
 				runnable[i].Name, vmSeq[i], walkSeq[i])
 		}
 	}
 
-	vmPar := vmCorpusSignatures(t, ExecMode{}, 8, messages)
-	walkPar := vmCorpusSignatures(t, ExecMode{NoVM: true}, 8, messages)
+	vmPar := vmCorpusSignatures(t, interp.EngineVM, 8, messages)
+	walkPar := vmCorpusSignatures(t, interp.EngineWalker, 8, messages)
 	for i := range vmSeq {
 		if vmSeq[i] != vmPar[i] {
 			t.Errorf("%s: VM signature depends on worker count", runnable[i].Name)
@@ -60,7 +98,7 @@ func TestVMDifferentialFullCorpus(t *testing.T) {
 }
 
 // TestVMSharedCacheBothModes is the regression test for the pipeline
-// cache's ExecMode keying: one PipelineCache serves VM and tree-walker
+// cache's engine keying: one PipelineCache serves VM and tree-walker
 // preparations concurrently (run under -race in verify.sh). Before the
 // keying fix both modes aliased onto one entry, so whichever mode lost
 // the singleflight race executed the other's artifact and the harness
@@ -73,25 +111,24 @@ func TestVMSharedCacheBothModes(t *testing.T) {
 		runnable = runnable[:6]
 	}
 
-	modes := []ExecMode{{}, {NoVM: true}}
-	sigs := make([][]string, len(modes))
+	sigs := make([][]string, len(interp.Engines))
 	for m := range sigs {
 		sigs[m] = make([]string, len(runnable))
 	}
 	var wg sync.WaitGroup
-	errs := make(chan error, len(modes)*len(runnable))
-	for m, mode := range modes {
+	errs := make(chan error, len(interp.Engines)*len(runnable))
+	for m, engine := range interp.Engines {
 		for i, app := range runnable {
 			wg.Add(1)
-			go func(m, i int, mode ExecMode, app *corpus.App) {
+			go func(m, i int, engine interp.Engine, app *corpus.App) {
 				defer wg.Done()
-				sig, err := execModeSignature(app, cache, mode, messages)
+				sig, err := engineSignature(app, cache, engine, messages)
 				if err != nil {
 					errs <- err
 					return
 				}
 				sigs[m][i] = sig
-			}(m, i, mode, app)
+			}(m, i, engine, app)
 		}
 	}
 	wg.Wait()
@@ -101,7 +138,7 @@ func TestVMSharedCacheBothModes(t *testing.T) {
 	}
 	for i, app := range runnable {
 		if sigs[0][i] != sigs[1][i] {
-			t.Errorf("%s: modes diverge when sharing one cache:\n--- vm\n%s--- novm\n%s",
+			t.Errorf("%s: engines diverge when sharing one cache:\n--- vm\n%s--- walker\n%s",
 				app.Name, sigs[0][i], sigs[1][i])
 		}
 	}
@@ -109,14 +146,14 @@ func TestVMSharedCacheBothModes(t *testing.T) {
 	// artifact separation: the VM-mode entry carries compiled bytecode,
 	// the walker-mode entry must not
 	app := runnable[0]
-	_, _, vmMod, err := cache.AnalyzedMode(app.Name+".js", app.Source, taint.DefaultOptions(), ExecMode{})
+	_, _, vmMod, err := cache.AnalyzedFor(app.Name+".js", app.Source, taint.DefaultOptions(), interp.EngineVM)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vmMod == nil {
 		t.Error("VM-mode cache entry has no compiled module")
 	}
-	_, _, walkMod, err := cache.AnalyzedMode(app.Name+".js", app.Source, taint.DefaultOptions(), ExecMode{NoVM: true})
+	_, _, walkMod, err := cache.AnalyzedFor(app.Name+".js", app.Source, taint.DefaultOptions(), interp.EngineWalker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +172,7 @@ func TestVMChaosEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walkRes, err := RunChaos(apps, ChaosOptions{Seed: 3, Messages: 8, Cache: NewCache(), NoVM: true})
+	walkRes, err := RunChaos(apps, ChaosOptions{Seed: 3, Messages: 8, Cache: NewCache(), Engine: interp.EngineWalker})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +198,11 @@ func TestVMAttackEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walkRes, err := RunAttackCorpus(AttackOptions{Parallel: 1, NoVM: true})
+	walkRes, err := RunAttackCorpus(AttackOptions{Parallel: 1, Engine: interp.EngineWalker})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vmTxt, walkTxt := RenderAttack(vmRes), RenderAttack(walkRes); vmTxt != walkTxt {
-		t.Errorf("attack report diverges between engines:\n--- vm\n%s--- novm\n%s", vmTxt, walkTxt)
+		t.Errorf("attack report diverges between engines:\n--- vm\n%s--- walker\n%s", vmTxt, walkTxt)
 	}
 }

@@ -193,7 +193,7 @@ func (ip *Interp) invokeBody(decl *ast.FuncLit, code *vm.Chunk, closure *Env, th
 			Pos: pos,
 		}
 	}
-	vmBody := code != nil && !ip.NoVM
+	vmBody := code != nil && ip.Engine == EngineVM
 	// compiled bodies that provably cannot capture their environment run
 	// in a pooled env recycled after the call (two allocations saved per
 	// call on closure-free hot paths)

@@ -40,11 +40,11 @@ func (ip *Interp) RegisterCode(prog *ast.Program, mod *vm.Module) {
 
 // moduleFor returns the compiled module for a program, compiling on
 // demand. It returns nil — sending the caller down the tree-walking path
-// — when the VM is disabled or resolver fast paths are off (the VM
-// requires resolved coordinates to be worthwhile; -noresolve is the
-// map-walk oracle).
+// — on the walker engine or when resolver fast paths are off (the VM
+// requires resolved coordinates to be worthwhile; NoResolve is the
+// resolver's map-walk oracle).
 func (ip *Interp) moduleFor(prog *ast.Program) *vm.Module {
-	if ip.NoVM || ip.NoResolve {
+	if ip.Engine != EngineVM || ip.NoResolve {
 		return nil
 	}
 	if m, ok := ip.progMods[prog]; ok {
@@ -58,7 +58,7 @@ func (ip *Interp) moduleFor(prog *ast.Program) *vm.Module {
 // codeFor looks up the compiled chunk for a function literal (nil when
 // the VM is off or the literal was never compiled).
 func (ip *Interp) codeFor(decl *ast.FuncLit) *vm.Chunk {
-	if ip.NoVM || ip.funcCode == nil || decl == nil {
+	if ip.Engine != EngineVM || ip.funcCode == nil || decl == nil {
 		return nil
 	}
 	return ip.funcCode[decl]
@@ -67,7 +67,7 @@ func (ip *Interp) codeFor(decl *ast.FuncLit) *vm.Chunk {
 // withCode attaches the compiled chunk to a freshly created closure so
 // calls dispatch straight into the VM without a map lookup.
 func (ip *Interp) withCode(fn *Function) *Function {
-	if !ip.NoVM && fn.Code == nil && fn.Decl != nil && ip.funcCode != nil {
+	if ip.Engine == EngineVM && fn.Code == nil && fn.Decl != nil && ip.funcCode != nil {
 		fn.Code = ip.funcCode[fn.Decl]
 	}
 	return fn
@@ -720,7 +720,7 @@ func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value
 				if f.This != nil {
 					this = f.This
 				}
-				pooledArgs := f.Code != nil && !ip.NoVM && !f.Code.NeedsArguments
+				pooledArgs := f.Code != nil && ip.Engine == EngineVM && !f.Code.NeedsArguments
 				args := ip.vmArgs(regs, fregs, ftag, in.C, pooledArgs)
 				v, err = ip.invokeFunc(f.Decl, f.Code, f.Env, this, args, site.Node.Pos())
 				if pooledArgs {
@@ -746,7 +746,7 @@ func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value
 						if f.This != nil {
 							this = f.This
 						}
-						pooledArgs := f.Code != nil && !ip.NoVM && !f.Code.NeedsArguments
+						pooledArgs := f.Code != nil && ip.Engine == EngineVM && !f.Code.NeedsArguments
 						args := ip.vmArgs(regs, fregs, ftag, in.C, pooledArgs)
 						v, err = ip.invokeFunc(f.Decl, f.Code, f.Env, this, args, site.Node.Pos())
 						if pooledArgs {

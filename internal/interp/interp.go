@@ -89,14 +89,14 @@ type Interp struct {
 	// whole process, so this cooperative cap must trip first. 0 disables
 	// (tests only).
 	MaxCallDepth int
-	// NoResolve disables the resolver fast paths (slot-indexed variable
-	// access and per-call-site inline caches) even on resolved programs,
-	// restoring the pure map-walk interpreter for A/B comparison.
+	// Engine selects the bytecode VM (default) or the tree-walker.
+	Engine Engine
+	// NoResolve turns the interpreter into the resolver's oracle: the
+	// inline caches and the VM stay off, and label functions are left
+	// unresolved, so an unresolved program runs as a pure map walk. Only
+	// the resolver's equivalence tests and the microbenchmark's map-walk
+	// column set it; no deployment path offers it.
 	NoResolve bool
-	// NoVM disables the bytecode VM, restoring the tree-walking
-	// evaluator as the execution engine (the differential oracle). The VM
-	// also stays off under NoResolve — it builds on resolved coordinates.
-	NoVM bool
 
 	steps       int64
 	callDepth   int

@@ -13,7 +13,7 @@ import (
 // with the resolver: implicit-global creation unified across assignment
 // forms, per-iteration let/const loop bindings, and const enforcement on
 // loop variables and through shadowing. Every test runs on both execution
-// modes — the resolved slot path and the -noresolve map walk — since the
+// modes — the resolved slot path and the NoResolve map walk — since the
 // two must agree observably.
 
 // bothModes runs the test body once per execution mode.

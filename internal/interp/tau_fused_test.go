@@ -27,10 +27,10 @@ const fusedPolicy = `{
 
 // fusedInterp builds an interpreter with an auditing, implicit-flow
 // tracker over fusedPolicy.
-func fusedInterp(t *testing.T, noVM bool) *Interp {
+func fusedInterp(t *testing.T, engine Engine) *Interp {
 	t.Helper()
 	ip := New()
-	ip.NoVM = noVM
+	ip.Engine = engine
 	pol, err := policy.ParseJSON([]byte(fusedPolicy), ip.CompileLabelFunc)
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +100,8 @@ func observe(t *testing.T, ip *Interp, base int64) string {
 }
 
 func TestFusedTauMatchesGenericPath(t *testing.T) {
-	fused := fusedInterp(t, false)
-	generic := fusedInterp(t, false)
+	fused := fusedInterp(t, EngineVM)
+	generic := fusedInterp(t, EngineVM)
 	runResolved(t, generic, `__t.extra = 1;`) // bumps τ's version
 	for op := 1; op < len(vm.TauMethods); op++ {
 		if fused.tauFast(vm.TauOp(op)) == nil {
@@ -126,11 +126,11 @@ func TestFusedTauMatchesGenericPath(t *testing.T) {
 // TestTauCheckNoArgs: __t.check() with no arguments returns undefined on
 // both engines instead of panicking.
 func TestTauCheckNoArgs(t *testing.T) {
-	for _, noVM := range []bool{false, true} {
-		ip := fusedInterp(t, noVM)
+	for _, engine := range Engines {
+		ip := fusedInterp(t, engine)
 		runResolved(t, ip, `console.log(__t.check() === undefined);`)
 		if got := fmt.Sprint(ip.ConsoleOut); got != "[true]" {
-			t.Fatalf("noVM=%v: __t.check() logged %s", noVM, got)
+			t.Fatalf("%v: __t.check() logged %s", engine, got)
 		}
 	}
 }
@@ -148,11 +148,11 @@ __t.check("x", "y", "z");
 __t.binaryOp("+", 5, 6);
 console.log(kept[0][0], kept[0][1], kept[0][2], kept[0].length, kept[1][0], kept[1][1], kept[1].length);
 `
-	for _, noVM := range []bool{false, true} {
-		ip := fusedInterp(t, noVM)
+	for _, engine := range Engines {
+		ip := fusedInterp(t, engine)
 		runResolved(t, ip, src)
 		if got := fmt.Sprint(ip.ConsoleOut); got != "[1 2 3 3 a b 2]" {
-			t.Fatalf("noVM=%v: kept arguments = %s", noVM, got)
+			t.Fatalf("%v: kept arguments = %s", engine, got)
 		}
 	}
 }

@@ -52,7 +52,7 @@ for (let r = 0; r < 3; r = r + 1) {
 }
 `
 
-func benchRun(b *testing.B, src string, noVM bool) {
+func benchRun(b *testing.B, src string, engine Engine) {
 	b.Helper()
 	prog, err := parser.Parse("bench.js", src)
 	if err != nil {
@@ -62,14 +62,14 @@ func benchRun(b *testing.B, src string, noVM bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ip := New()
-		ip.NoVM = noVM
+		ip.Engine = engine
 		if err := ip.Run(prog); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkVMIdentHeavy(b *testing.B)     { benchRun(b, benchIdentSrc, false) }
-func BenchmarkWalkerIdentHeavy(b *testing.B) { benchRun(b, benchIdentSrc, true) }
-func BenchmarkVMCallHeavy(b *testing.B)      { benchRun(b, benchCallSrc, false) }
-func BenchmarkWalkerCallHeavy(b *testing.B)  { benchRun(b, benchCallSrc, true) }
+func BenchmarkVMIdentHeavy(b *testing.B)     { benchRun(b, benchIdentSrc, EngineVM) }
+func BenchmarkWalkerIdentHeavy(b *testing.B) { benchRun(b, benchIdentSrc, EngineWalker) }
+func BenchmarkVMCallHeavy(b *testing.B)      { benchRun(b, benchCallSrc, EngineVM) }
+func BenchmarkWalkerCallHeavy(b *testing.B)  { benchRun(b, benchCallSrc, EngineWalker) }

@@ -3,22 +3,20 @@ package interp
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"turnstile/internal/ast"
 	"turnstile/internal/parser"
 	"turnstile/internal/resolve"
-	"turnstile/internal/vm"
 )
 
 // The bytecode VM must be observationally identical to the tree-walker:
 // same console output, same errors (message and position), same step
 // counts (charge parity). These tests run every source three ways — VM
-// (default), -novm tree-walk on slots, and -noresolve map walk — and
-// require exact agreement.
+// (default), tree-walk on slots, and the resolver's NoResolve map walk —
+// and require exact agreement.
 
-func runVMMode(t *testing.T, src string, noVM, noResolve bool) (*Interp, error) {
+func runVMMode(t *testing.T, src string, engine Engine, noResolve bool) (*Interp, error) {
 	t.Helper()
 	prog, err := parser.Parse("vm.js", src)
 	if err != nil {
@@ -28,7 +26,7 @@ func runVMMode(t *testing.T, src string, noVM, noResolve bool) (*Interp, error) 
 		resolve.Resolve(prog)
 	}
 	ip := New()
-	ip.NoVM = noVM
+	ip.Engine = engine
 	ip.NoResolve = noResolve
 	return ip, ip.Run(prog)
 }
@@ -42,17 +40,17 @@ func vmTriModes(t *testing.T, src string) {
 		err   string
 		steps int64
 	}
-	obs := func(noVM, noResolve bool) out {
-		ip, err := runVMMode(t, src, noVM, noResolve)
+	obs := func(engine Engine, noResolve bool) out {
+		ip, err := runVMMode(t, src, engine, noResolve)
 		o := out{logs: ip.ConsoleOut, steps: ip.Steps()}
 		if err != nil {
 			o.err = err.Error()
 		}
 		return o
 	}
-	vmOut := obs(false, false)
-	walkOut := obs(true, false)
-	mapOut := obs(true, true)
+	vmOut := obs(EngineVM, false)
+	walkOut := obs(EngineWalker, false)
+	mapOut := obs(EngineWalker, true)
 	if fmt.Sprint(vmOut.logs) != fmt.Sprint(walkOut.logs) || vmOut.err != walkOut.err {
 		t.Fatalf("vm/walker divergence\nvm:   %v err=%q\nwalk: %v err=%q\nsource:\n%s",
 			vmOut.logs, vmOut.err, walkOut.logs, walkOut.err, src)
@@ -86,14 +84,14 @@ func TestVMIsActuallyExercised(t *testing.T) {
 	if len(ip.ConsoleOut) != 1 || ip.ConsoleOut[0] != "42" {
 		t.Fatalf("logs = %v", ip.ConsoleOut)
 	}
-	// the -novm escape hatch must keep the compiler entirely out of play
+	// the walker engine must keep the compiler entirely out of play
 	ip2 := New()
-	ip2.NoVM = true
+	ip2.Engine = EngineWalker
 	if err := ip2.Run(prog); err != nil {
 		t.Fatal(err)
 	}
 	if len(ip2.progMods) != 0 {
-		t.Fatal("-novm still compiled the program")
+		t.Fatal("the walker engine still compiled the program")
 	}
 }
 
@@ -406,61 +404,18 @@ func TestTrackerFusionRebindFallback(t *testing.T) {
 	}
 }
 
-// TestArtifactCacheSingleflight pins the content-addressed compiled
-// artifact cache: one build per content, distinct content distinct
-// entries, and a version-salted key.
-func TestArtifactCacheSingleflight(t *testing.T) {
-	cache := vm.NewCache()
-	builds := 0
-	build := func(src string) func() (*ast.Program, error) {
-		return func() (*ast.Program, error) {
-			builds++
-			prog, err := parser.Parse("a.js", src)
-			if err != nil {
-				return nil, err
-			}
-			resolve.Resolve(prog)
-			return prog, nil
-		}
-	}
-	p1, m1, err := cache.Load("a.js", "var x = 1;", build("var x = 1;"))
-	if err != nil || p1 == nil || m1 == nil {
-		t.Fatalf("load: %v", err)
-	}
-	p2, m2, _ := cache.Load("a.js", "var x = 1;", build("var x = 1;"))
-	if p2 != p1 || m2 != m1 {
-		t.Fatal("same content must return the identical artifact")
-	}
-	if builds != 1 {
-		t.Fatalf("builds = %d, want 1", builds)
-	}
-	p3, _, _ := cache.Load("a.js", "var x = 2;", build("var x = 2;"))
-	if p3 == p1 {
-		t.Fatal("distinct content aliased one artifact")
-	}
-	if hits, misses := cache.Stats(); hits != 1 || misses != 2 {
-		t.Fatalf("stats = (%d, %d), want (1, 2)", hits, misses)
-	}
-	if vm.Key("a.js", "src") == vm.Key("a.js", "src2") || vm.Key("a.js", "s") == vm.Key("b.js", "s") {
-		t.Fatal("key must cover file and source")
-	}
-	if !strings.Contains(vm.Version, "vm") {
-		t.Fatal("bytecode version tag missing")
-	}
-}
-
 // TestVMBudgetParity: guard budget trips must fire at the same step with
 // the same site attribution under both engines.
 func TestVMBudgetParity(t *testing.T) {
 	src := `var i = 0; while (true) { i = i + 1; }`
-	trip := func(noVM bool) (int64, string) {
+	trip := func(engine Engine) (int64, string) {
 		prog, err := parser.Parse("spin.js", src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resolve.Resolve(prog)
 		ip := New()
-		ip.NoVM = noVM
+		ip.Engine = engine
 		ip.MaxSteps = 10_000
 		err = ip.Run(prog)
 		if err == nil {
@@ -468,8 +423,8 @@ func TestVMBudgetParity(t *testing.T) {
 		}
 		return ip.Steps(), err.Error()
 	}
-	vmSteps, vmErr := trip(false)
-	wkSteps, wkErr := trip(true)
+	vmSteps, vmErr := trip(EngineVM)
+	wkSteps, wkErr := trip(EngineWalker)
 	if vmSteps != wkSteps || vmErr != wkErr {
 		t.Fatalf("budget divergence: vm (%d, %q) vs walker (%d, %q)", vmSteps, vmErr, wkSteps, wkErr)
 	}

@@ -52,12 +52,12 @@ func runHealthScenario(t *testing.T, noResolve bool) string {
 
 // The flow runtime's degradation counters must not depend on the
 // execution mode: handler errors, drops and sink writes are identical on
-// the slot-env fast path and the -noresolve map walk.
+// the slot-env fast path and the resolver's NoResolve map walk.
 func TestHealthCountersResolveDifferential(t *testing.T) {
 	slot := runHealthScenario(t, false)
 	mapWalk := runHealthScenario(t, true)
 	if slot != mapWalk {
-		t.Fatalf("health differential diverged:\n--- slot\n%s--- noresolve\n%s", slot, mapWalk)
+		t.Fatalf("health differential diverged:\n--- slot\n%s--- map walk\n%s", slot, mapWalk)
 	}
 	// the breaker quarantines the throwing node after 3 consecutive
 	// failures, so the counters must show 3 errors and 2 drops

@@ -2,18 +2,25 @@ package resolve_test
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
+	"turnstile/internal/corpus"
 	"turnstile/internal/guard"
 	"turnstile/internal/interp"
 	"turnstile/internal/parser"
 	"turnstile/internal/resolve"
 )
 
-// observe runs src once under the given execution mode with bounded
-// budgets and returns everything observable: console lines, sink writes,
-// and the run error rendering ("" when the run is clean).
+// pumpMessages is how many events observe feeds into every I/O source the
+// program registered, so handler bodies run too, not just the top level.
+const pumpMessages = 3
+
+// observe runs src once, resolved or as the NoResolve map walk, with
+// bounded budgets, feeds pumpMessages events into each registered source,
+// and returns everything observable: console lines, per-event errors,
+// sink writes, and the run error rendering ("" when the run is clean).
 func observe(src string, noResolve bool) (out []string, errStr string) {
 	prog, err := parser.Parse("eq.js", src)
 	if err != nil {
@@ -34,19 +41,31 @@ func observe(src string, noResolve bool) (out []string, errStr string) {
 	if err := ip.Run(prog); err != nil {
 		errStr = err.Error()
 	}
+	for _, name := range ip.SourceNames() {
+		src, _ := ip.Source(name)
+		for i := 0; i < pumpMessages; i++ {
+			if err := ip.Emit(src, "data", fmt.Sprintf("person%d:E%d", i, i)); err != nil {
+				out = append(out, fmt.Sprintf("%s event %d: %v", name, i, err))
+			}
+		}
+	}
 	out = append(out, ip.ConsoleOut...)
+	// values render as console.log shows them: a program cannot observe
+	// an object's ref id, and ref ids come from one process-wide counter,
+	// so the two runs' objects never carry the same ids
 	for _, w := range ip.IO.Writes {
-		out = append(out, fmt.Sprintf("%s.%s %s %v", w.Module, w.Op, w.Target, w.Value))
+		out = append(out, fmt.Sprintf("%s.%s %s %s", w.Module, w.Op, w.Target, interp.Inspect(w.Value)))
 	}
 	return out, errStr
 }
 
 // FuzzResolveEquivalence is the resolver's semantics-preservation property
 // as a fuzz target: on any parseable program, the slot-env fast path and
-// the -noresolve map walk must produce identical console output, identical
+// the NoResolve map walk must produce identical console output, identical
 // sink writes, and the identical error (or identical success) under the
 // same budgets. The seeds mirror the instrument-fuzz corpus so the two
-// batteries stress the same language surface.
+// batteries stress the same language surface, followed by every runnable
+// corpus app and every file of one generated app per stratum.
 func FuzzResolveEquivalence(f *testing.F) {
 	seeds := []string{
 		`const fs = require("fs");
@@ -105,6 +124,23 @@ console.log(f0() + f2());`,
 		`let s = "xxxxxxxx"; while (true) { s = s + s; }`,
 		`function t(n) { setTimeout(function() { t(n + 1); }, 1000); } t(0);`,
 		"console.log(" + strings.Repeat("(", 60) + "1 + 2" + strings.Repeat(")", 60) + ");",
+	}
+	for _, app := range corpus.Runnable(corpus.All()) {
+		seeds = append(seeds, app.Source)
+	}
+	for _, stratum := range corpus.GenStratumNames() {
+		ga, err := corpus.Generate(stratum, 1, 6)
+		if err != nil {
+			f.Fatal(err)
+		}
+		names := make([]string, 0, len(ga.Files))
+		for name := range ga.Files {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			seeds = append(seeds, ga.Files[name])
+		}
 	}
 	for _, s := range seeds {
 		f.Add(s)

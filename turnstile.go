@@ -27,6 +27,7 @@ import (
 	"turnstile/internal/core"
 	"turnstile/internal/dift"
 	"turnstile/internal/instrument"
+	"turnstile/internal/interp"
 	"turnstile/internal/policy"
 	"turnstile/internal/taint"
 )
@@ -59,6 +60,16 @@ type (
 const (
 	Selective  = instrument.Selective
 	Exhaustive = instrument.Exhaustive
+)
+
+// Engine selects Options.Engine: the bytecode VM (the default) or the
+// tree-walker, the VM's differential oracle.
+type Engine = interp.Engine
+
+// Execution engines.
+const (
+	EngineVM     = interp.EngineVM
+	EngineWalker = interp.EngineWalker
 )
 
 // DefaultOptions returns the paper's configuration: selective

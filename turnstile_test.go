@@ -135,6 +135,38 @@ func TestExhaustiveModePublicAPI(t *testing.T) {
 	}
 }
 
+// TestEnginesPublicAPI: both values of Options.Engine give the same
+// writes and violations.
+func TestEnginesPublicAPI(t *testing.T) {
+	var runs []string
+	for _, engine := range []turnstile.Engine{turnstile.EngineVM, turnstile.EngineWalker} {
+		opts := turnstile.DefaultOptions()
+		opts.Engine = engine
+		opts.Enforce = false
+		app, err := turnstile.Manage(map[string]string{"a.js": appSource}, policyJSON, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := app.Emit("net.socket:cam:554", "data", "kim:E7|guest:"); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, w := range app.Writes() {
+			b.WriteString(w.Module + "." + w.Op + " " + w.Target + "\n")
+		}
+		for _, v := range app.Violations() {
+			b.WriteString(v.Error() + "\n")
+		}
+		runs = append(runs, b.String())
+	}
+	if runs[0] == "" {
+		t.Fatal("the run wrote nothing, so the comparison is vacuous")
+	}
+	if runs[0] != runs[1] {
+		t.Fatalf("engines disagree:\n--- vm\n%s--- walker\n%s", runs[0], runs[1])
+	}
+}
+
 func TestManageErrors(t *testing.T) {
 	if _, err := turnstile.Manage(map[string]string{"bad.js": "let ="}, policyJSON, turnstile.DefaultOptions()); err == nil {
 		t.Fatal("expected parse error")
