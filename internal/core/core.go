@@ -173,26 +173,13 @@ func Manage(sources map[string]string, policyJSON string, opts Options) (*Manage
 		}); err != nil {
 			return nil, fmt.Errorf("core: instrumenting %s: %w", f.Name, err)
 		}
-		src, err := printer.SafePrint(res.Program)
+		src, err := Prepare(res, opts.Metrics)
 		if err != nil {
 			return nil, fmt.Errorf("core: printing instrumented %s: %w", f.Name, err)
 		}
 		app.Instrumented[f.Name] = src
 		app.Results[f.Name] = res
-		prog, err := parser.Parse(f.Name, src)
-		if err != nil {
-			return nil, fmt.Errorf("core: instrumented %s does not re-parse: %w", f.Name, err)
-		}
-		// resolution must run on the re-parsed program: annotations do not
-		// survive printing
-		r := resolve.Resolve(prog)
-		if opts.Metrics != nil {
-			opts.Metrics.Add(telemetry.CtrResolveScopes, int64(r.Scopes))
-			opts.Metrics.Add(telemetry.CtrResolveSlots, int64(r.Slots))
-			opts.Metrics.Add(telemetry.CtrResolveResolved, int64(r.Resolved))
-			opts.Metrics.Add(telemetry.CtrResolveDynamic, int64(r.Dynamic))
-		}
-		managed[f.Name] = prog
+		managed[f.Name] = res.Program
 	}
 
 	// deploy with local-require support: each file is a module; requiring
@@ -231,6 +218,28 @@ func Manage(sources map[string]string, policyJSON string, opts Options) (*Manage
 		}
 	}
 	return app, nil
+}
+
+// Prepare readies one instrumented file to run and returns its
+// privacy-managed source (§4.3), the text ManagedApp.Instrumented holds.
+// printer.Stamp prints res.Program and gives every node the position
+// parser.Parse would give it in that text; resolve.Resolve then annotates
+// the same tree, which the runtime compiles and runs. Nothing is parsed
+// twice: the tree is the instrumentor's own, which shares no node with
+// the analyzed original. Resolver counters go to m when it is non-nil.
+func Prepare(res *instrument.Result, m *telemetry.Metrics) (string, error) {
+	src, err := printer.Stamp(res.Program)
+	if err != nil {
+		return "", err
+	}
+	r := resolve.Resolve(res.Program)
+	if m != nil {
+		m.Add(telemetry.CtrResolveScopes, int64(r.Scopes))
+		m.Add(telemetry.CtrResolveSlots, int64(r.Slots))
+		m.Add(telemetry.CtrResolveResolved, int64(r.Resolved))
+		m.Add(telemetry.CtrResolveDynamic, int64(r.Dynamic))
+	}
+	return src, nil
 }
 
 // mustLoad drives the local loader for a deployment entry file.

@@ -388,24 +388,60 @@ func (s *FileStore) ReadFile(name string) ([]byte, error) {
 	return data, err
 }
 
-// WriteFile implements Store via temp file + rename + dir-entry durability.
+// WriteFile implements Store by atomic replace: the bytes go to a temp
+// file that is synced before it is renamed over name, and the directory
+// is synced after the rename, so a power loss leaves the old file or the
+// new one, never a renamed file whose bytes were lost. A step that fails
+// returns its error; before the rename the temp file is removed and name
+// keeps its previous contents. A cached append handle for name points at
+// the replaced file, so it is closed and the next Append reopens name.
 func (s *FileStore) WriteFile(name string, data []byte) error {
 	p, err := s.path(name)
 	if err != nil {
 		return err
 	}
 	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, p); err != nil {
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, p)
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
 		return err
 	}
-	if d, err := os.Open(s.root); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
+	s.mu.Lock()
+	if h := s.handles[name]; h != nil {
+		delete(s.handles, name)
+		err = h.Close()
 	}
-	return nil
+	s.mu.Unlock()
+	if serr := syncDir(s.root); err == nil {
+		err = serr
+	}
+	return err
+}
+
+// syncDir makes a directory's entries (a rename into it) durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // List implements Store.

@@ -8,8 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"turnstile/internal/asttest"
 	"turnstile/internal/corpus"
 	"turnstile/internal/dift"
+	"turnstile/internal/parser"
+	"turnstile/internal/resolve"
+	"turnstile/internal/taint"
 )
 
 // This file is the race-proofing battery for the parallel experiment
@@ -250,5 +254,30 @@ func TestParallelE1Speedup(t *testing.T) {
 	t.Logf("best parallel E1 speedup on %d CPUs: %.2fx", runtime.NumCPU(), best)
 	if best < 2 {
 		t.Errorf("parallel E1 speedup = %.2fx, want >= 2x on %d CPUs", best, runtime.NumCPU())
+	}
+}
+
+// TestPrepareLeavesCachedOriginalUntouched: the instrumented versions are
+// stamped and resolved in place, so the ownership rule is what keeps the
+// cache's shared original intact. After all three versions of every
+// runnable app are prepared from one cache, each cached original still
+// equals a fresh parse and resolve, positions and resolver annotations
+// included.
+func TestPrepareLeavesCachedOriginalUntouched(t *testing.T) {
+	cache := NewCache()
+	for _, app := range corpus.Runnable(corpus.All()) {
+		if _, err := PrepareAppCached(app, cache); err != nil {
+			t.Fatalf("%s: %v", app.Name, err)
+		}
+		file := app.Name + ".js"
+		cached, _, err := cache.Analyzed(file, app.Source, taint.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := parser.MustParse(file, app.Source)
+		resolve.Resolve(fresh)
+		if d := asttest.Diff(cached, fresh); d != "" {
+			t.Fatalf("%s: preparing the versions changed the cached original: %s", app.Name, d)
+		}
 	}
 }

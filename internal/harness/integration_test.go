@@ -3,9 +3,14 @@ package harness
 import (
 	"testing"
 
+	"turnstile/internal/asttest"
+	"turnstile/internal/core"
 	"turnstile/internal/corpus"
+	"turnstile/internal/instrument"
 	"turnstile/internal/parser"
 	"turnstile/internal/printer"
+	"turnstile/internal/resolve"
+	"turnstile/internal/vm"
 	"turnstile/internal/workload"
 )
 
@@ -38,35 +43,65 @@ func TestRealTimeStreamIntegration(t *testing.T) {
 	}
 }
 
-// TestInstrumentedCorpusRoundTrips prints and re-parses every corpus app
-// plus both instrumented variants of every runnable app — a broad
-// integration sweep over the printer/parser pair.
+// TestInstrumentedCorpusRoundTrips is the node-for-node gate on the
+// deploy path, which runs the instrumentor's own tree instead of parsing
+// the printed source again. For every runnable corpus app in both modes,
+// and for every file of one generated app per stratum (exhaustive,
+// implicit flows), the tree core.Manage deploys must equal
+// resolve(parser.Parse(printed)) in node kinds, fields, positions and
+// resolver annotations, compile to the same bytecode chunk by chunk, and
+// carry unique node IDs below MaxID; printing the parsed tree must give
+// the same text back.
 func TestInstrumentedCorpusRoundTrips(t *testing.T) {
 	for _, app := range corpus.All() {
 		if _, err := parser.Parse(app.Name+".js", app.Source); err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
 	}
-	for _, app := range corpus.Runnable(corpus.All()) {
-		prep, err := PrepareApp(app)
+	check := func(label string, sources map[string]string, policyJSON string, opts core.Options) {
+		t.Helper()
+		managed, err := core.Manage(sources, policyJSON, opts)
 		if err != nil {
-			t.Fatalf("%s: %v", app.Name, err)
+			t.Fatalf("%s: %v", label, err)
 		}
-		// deep-check the instrumented trees still print deterministically
-		for _, res := range []*PreparedApp{prep} {
-			selSrc := printer.Print(res.SelectiveResult.Program)
-			if _, err := parser.Parse(app.Name+".sel.js", selSrc); err != nil {
-				t.Fatalf("%s selective: %v", app.Name, err)
-			}
-			exhSrc := printer.Print(res.ExhaustiveResult.Program)
-			reparsed, err := parser.Parse(app.Name+".exh.js", exhSrc)
+		for name, src := range managed.Instrumented {
+			deployed := managed.Results[name].Program
+			want, err := parser.Parse(name, src)
 			if err != nil {
-				t.Fatalf("%s exhaustive: %v", app.Name, err)
+				t.Fatalf("%s %s: printed source does not parse: %v", label, name, err)
 			}
-			if printer.Print(reparsed) != exhSrc {
-				t.Fatalf("%s: print not idempotent on instrumented tree", app.Name)
+			resolve.Resolve(want)
+			if d := asttest.Diff(deployed, want); d != "" {
+				t.Fatalf("%s %s: deployed tree differs from the parsed print: %s", label, name, d)
+			}
+			if d := asttest.DiffModules(deployed, vm.Compile(deployed), want, vm.Compile(want)); d != "" {
+				t.Fatalf("%s %s: bytecode differs: %s", label, name, d)
+			}
+			if err := asttest.CheckIDs(deployed); err != nil {
+				t.Fatalf("%s %s: %v", label, name, err)
+			}
+			if printer.Print(want) != src {
+				t.Fatalf("%s %s: print not idempotent on the instrumented tree", label, name)
 			}
 		}
+	}
+	for _, app := range corpus.Runnable(corpus.All()) {
+		for _, mode := range []instrument.Mode{instrument.Selective, instrument.Exhaustive} {
+			opts := core.DefaultOptions()
+			opts.Mode = mode
+			check(app.Name+"/"+mode.String(), map[string]string{app.Name + ".js": app.Source}, app.PolicyJSON, opts)
+		}
+	}
+	for _, stratum := range corpus.GenStratumNames() {
+		ga, err := corpus.Generate(stratum, 1, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.DefaultOptions()
+		opts.Mode = instrument.Exhaustive
+		opts.ImplicitFlows = true
+		opts.Enforce = false
+		check(ga.Name, ga.Files, ga.Policy, opts)
 	}
 }
 

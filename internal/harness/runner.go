@@ -4,13 +4,11 @@ import (
 	"fmt"
 
 	"turnstile/internal/ast"
+	"turnstile/internal/core"
 	"turnstile/internal/corpus"
 	"turnstile/internal/instrument"
 	"turnstile/internal/interp"
-	"turnstile/internal/parser"
 	"turnstile/internal/policy"
-	"turnstile/internal/printer"
-	"turnstile/internal/resolve"
 	"turnstile/internal/taint"
 	"turnstile/internal/vm"
 )
@@ -98,15 +96,12 @@ func PrepareAppEngine(app *corpus.App, cache *PipelineCache, engine interp.Engin
 		if err != nil {
 			return nil, nil, err
 		}
-		src := printer.Print(res.Program)
-		inst, err := parser.Parse(file, src)
-		if err != nil {
-			return nil, nil, fmt.Errorf("instrumented output does not re-parse: %w", err)
+		if _, err := core.Prepare(res, nil); err != nil {
+			return nil, nil, fmt.Errorf("printing instrumented version: %w", err)
 		}
-		resolve.Resolve(inst)
 		tr := ip.InstallTracker(pol)
 		tr.Enforce = false // audit mode for performance runs (§6.2)
-		if err := ip.Run(inst); err != nil {
+		if err := ip.Run(res.Program); err != nil {
 			return nil, nil, fmt.Errorf("running instrumented version: %w", err)
 		}
 		source, ok := ip.Source(app.SourceName)

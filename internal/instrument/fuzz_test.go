@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"turnstile/internal/ast"
+	"turnstile/internal/asttest"
 	"turnstile/internal/guard"
 	"turnstile/internal/interp"
 	"turnstile/internal/parser"
@@ -12,13 +14,16 @@ import (
 	"turnstile/internal/printer"
 	"turnstile/internal/resolve"
 	"turnstile/internal/taint"
+	"turnstile/internal/vm"
 )
 
 // FuzzPipeline drives the full Turnstile pipeline on arbitrary programs:
 // anything that parses must analyze, instrument (both modes, with implicit
-// flows), print, re-parse, and execute under a bounded step budget without
-// panicking. Runtime errors are acceptable; crashes and non-reparseable
-// instrumentation are not.
+// flows), deploy the way core.Prepare does (print and stamp the
+// instrumentor's own tree, resolve it), and execute under a bounded step
+// budget without panicking. Runtime errors are acceptable; crashes, an
+// unparseable print, and a deployed tree that differs from the parsed
+// print are not.
 func FuzzPipeline(f *testing.F) {
 	seeds := []string{
 		`const fs = require("fs");
@@ -130,14 +135,7 @@ console.log(node2(node1("wired")));`,
 			if err != nil {
 				t.Fatalf("instrument(%v): %v", mode, err)
 			}
-			out := printer.Print(res.Program)
-			managed, err := parser.Parse("fz2.js", out)
-			if err != nil {
-				t.Fatalf("instrumented output does not re-parse (%v): %v\ninput: %q\noutput:\n%s",
-					mode, err, src, out)
-			}
-			// run on the slot-env fast path, like the production pipeline
-			resolve.Resolve(managed)
+			managed := deployChecked(t, mode, src, prog, res)
 			ip := interp.New()
 			ip.MaxSteps = 200_000
 			// the guard bounds what the step budget cannot: exponential
@@ -160,16 +158,11 @@ console.log(node2(node1("wired")));`,
 	})
 }
 
-// execOutput runs one program version in a fresh interpreter and returns
-// its observable output (console lines plus every sink write), or ok=false
-// if it hit a runtime error or the step budget.
-func execOutput(t *testing.T, file, src string, instrumented bool, maxSteps int64) (out []string, ok bool) {
+// execOutput runs one resolved program version in a fresh interpreter and
+// returns its observable output (console lines plus every sink write), or
+// ok=false if it hit a runtime error or the step budget.
+func execOutput(t *testing.T, prog *ast.Program, instrumented bool, maxSteps int64) (out []string, ok bool) {
 	t.Helper()
-	prog, err := parser.Parse(file, src)
-	if err != nil {
-		t.Fatalf("%s does not parse: %v\n%s", file, err, src)
-	}
-	resolve.Resolve(prog)
 	ip := interp.New()
 	ip.MaxSteps = maxSteps
 	if instrumented {
@@ -199,6 +192,12 @@ func execOutput(t *testing.T, file, src string, instrumented bool, maxSteps int6
 // output exactly. Nondeterministic or erroring inputs are skipped (no
 // parity claim exists for them); an output mismatch or an error
 // introduced by instrumentation is a real bug.
+//
+// The instrumented version runs the way deployment runs it: the
+// instrumentor's own tree, stamped by printer.Stamp and resolved. Along
+// the way the target checks that the tree shares no node with its input,
+// and that it equals resolve(parser.Parse(printed)) node for node, with
+// the same bytecode and unique node IDs below MaxID.
 func FuzzInstrumentEquivalence(f *testing.F) {
 	seeds := []string{
 		`let a = 2; for (let i = 0; i < 4; i++) { a = a * a % 97; } console.log(a);`,
@@ -262,13 +261,13 @@ console.log(hop2("relay"));`,
 		if err != nil {
 			return
 		}
-		want, ok := execOutput(t, "eq.js", src, false, budget)
+		want, ok := execOutput(t, parsedResolved(t, src), false, budget)
 		if !ok {
 			return // original errors out: nothing to compare
 		}
 		// self-nondeterminism guard: only claim parity for programs whose
 		// output is reproducible in the first place
-		again, ok := execOutput(t, "eq.js", src, false, budget)
+		again, ok := execOutput(t, parsedResolved(t, src), false, budget)
 		if !ok || len(again) != len(want) {
 			return
 		}
@@ -286,14 +285,14 @@ console.log(hop2("relay"));`,
 			if err != nil {
 				t.Fatalf("instrument(%v): %v\ninput: %q", mode, err, src)
 			}
-			printed := printer.Print(res.Program)
+			deployed := deployChecked(t, mode, src, prog, res)
 			// the tracker calls cost extra interpreter steps, so the
 			// instrumented budget is larger; parity failures below are
 			// therefore real, not budget artifacts
-			got, ok := execOutput(t, "eq.inst.js", printed, true, 20*budget)
+			got, ok := execOutput(t, deployed, true, 20*budget)
 			if !ok {
 				t.Fatalf("%v instrumentation made a clean program fail\ninput: %q\ninstrumented:\n%s",
-					mode, src, printed)
+					mode, src, printer.Print(deployed))
 			}
 			if len(got) != len(want) {
 				t.Fatalf("%v instrumentation changed output length: %d vs %d\ninput: %q\n got: %q\nwant: %q",
@@ -307,4 +306,68 @@ console.log(hop2("relay"));`,
 			}
 		}
 	})
+}
+
+// parsedResolved parses and resolves a source the fuzz target already
+// knows to parse.
+func parsedResolved(t *testing.T, src string) *ast.Program {
+	t.Helper()
+	prog, err := parser.Parse("eq.js", src)
+	if err != nil {
+		t.Fatalf("does not parse: %v\n%s", err, src)
+	}
+	resolve.Resolve(prog)
+	return prog
+}
+
+// deployChecked readies res.Program the way core.Prepare does — printer.Stamp,
+// then resolve.Resolve on the same tree — and returns it, after checking
+// the deploy path's contract on it: it shares no node with the input in,
+// it equals resolve(parser.Parse(printed)) node for node, positions and
+// annotations included, both compile to the same bytecode, and its node
+// IDs are unique and below MaxID.
+func deployChecked(t *testing.T, mode Mode, src string, in *ast.Program, res *Result) *ast.Program {
+	t.Helper()
+	deployed := res.Program
+	if n := sharedNodes(in, deployed); n > 0 {
+		t.Fatalf("%v instrumentation shares %d nodes with its input\ninput: %q", mode, n, src)
+	}
+	printed, err := printer.Stamp(deployed)
+	if err != nil {
+		t.Fatalf("%v: %v\ninput: %q", mode, err, src)
+	}
+	resolve.Resolve(deployed)
+	reparsed, err := parser.Parse(deployed.File, printed)
+	if err != nil {
+		t.Fatalf("%v instrumented output does not re-parse: %v\ninput: %q\noutput:\n%s", mode, err, src, printed)
+	}
+	resolve.Resolve(reparsed)
+	if d := asttest.Diff(deployed, reparsed); d != "" {
+		t.Fatalf("%v deployed tree differs from the parsed print: %s\ninput: %q\ninstrumented:\n%s",
+			mode, d, src, printed)
+	}
+	if d := asttest.DiffModules(deployed, vm.Compile(deployed), reparsed, vm.Compile(reparsed)); d != "" {
+		t.Fatalf("%v bytecode differs: %s\ninput: %q", mode, d, src)
+	}
+	if err := asttest.CheckIDs(deployed); err != nil {
+		t.Fatalf("%v: %v\ninput: %q", mode, err, src)
+	}
+	return deployed
+}
+
+// sharedNodes counts the nodes of out that are reachable from in.
+func sharedNodes(in, out ast.Node) int {
+	seen := make(map[ast.Node]bool)
+	ast.Walk(in, func(n ast.Node) bool {
+		seen[n] = true
+		return true
+	})
+	shared := 0
+	ast.Walk(out, func(n ast.Node) bool {
+		if seen[n] {
+			shared++
+		}
+		return true
+	})
+	return shared
 }

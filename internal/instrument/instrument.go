@@ -4,9 +4,12 @@
 // privacy-sensitive by the Dataflow Analyzer are instrumented; in
 // exhaustive mode every dataflow expression is.
 //
-// The instrumentor produces a new AST; the original is not modified. The
-// instrumented program references the __t global installed by
-// interp.InstallTracker (the τ object of Fig. 2b).
+// The instrumentor produces a new AST that shares no node with the
+// original: nodes that pass through unchanged are copied, keeping their
+// IDs and positions. The original is never modified, so a pipeline cache
+// can hand it to other goroutines while the output is printed, stamped
+// and resolved in place. The instrumented program references the __t
+// global installed by interp.InstallTracker (the τ object of Fig. 2b).
 package instrument
 
 import (
@@ -116,6 +119,13 @@ type instrumentor struct {
 }
 
 func (ins *instrumentor) id() int { id := ins.nextID; ins.nextID++; return id }
+
+// keepID is the ID mapping for copies of nodes that appear once in the
+// output: they keep their original's ID.
+func keepID(id int) int { return id }
+
+// copyExpr copies an original subtree that passes through unchanged.
+func (ins *instrumentor) copyExpr(e ast.Expr) ast.Expr { return ast.CopyExpr(e, keepID) }
 
 func (ins *instrumentor) info(pos ast.Pos) ast.NodeInfo {
 	return ast.NodeInfo{Loc: pos, ID: ins.id()}
@@ -280,7 +290,7 @@ func (ins *instrumentor) stmt(s ast.Stmt) ast.Stmt {
 		return &ast.ClassDecl{NodeInfo: x.NodeInfo, Name: x.Name,
 			SuperClass: ins.expr(x.SuperClass), Methods: methods}
 	default:
-		return s
+		return ast.CopyStmt(s, keepID)
 	}
 }
 
@@ -295,7 +305,11 @@ func (ins *instrumentor) funcLit(fn *ast.FuncLit) *ast.FuncLit {
 	if fn == nil {
 		return nil
 	}
-	out := &ast.FuncLit{NodeInfo: fn.NodeInfo, Name: fn.Name, Params: fn.Params,
+	params := make([]*ast.Param, len(fn.Params))
+	for i, p := range fn.Params {
+		params[i] = &ast.Param{NodeInfo: p.NodeInfo, Name: p.Name, Rest: p.Rest}
+	}
+	out := &ast.FuncLit{NodeInfo: fn.NodeInfo, Name: fn.Name, Params: params,
 		Arrow: fn.Arrow, Async: fn.Async}
 	// parameter injections: result = __t.label(result, "L") prepended
 	var prologue []ast.Stmt
@@ -359,19 +373,19 @@ func (ins *instrumentor) expr(e ast.Expr) ast.Expr {
 	}
 	switch x := e.(type) {
 	case *ast.Ident, *ast.BoolLit, *ast.NullLit, *ast.UndefinedLit, *ast.ThisExpr:
-		return e
+		return ins.copyExpr(e)
 	case *ast.NumberLit:
 		if ins.opts.Mode == Exhaustive && ins.selected(x) {
 			ins.res.Tracks++
-			return ins.tau(x.Pos(), "track", x)
+			return ins.tau(x.Pos(), "track", ins.copyExpr(x))
 		}
-		return e
+		return ins.copyExpr(e)
 	case *ast.StringLit:
 		if ins.opts.Mode == Exhaustive && ins.selected(x) && len(x.Value) > 0 {
 			ins.res.Tracks++
-			return ins.tau(x.Pos(), "track", x)
+			return ins.tau(x.Pos(), "track", ins.copyExpr(x))
 		}
-		return e
+		return ins.copyExpr(e)
 	case *ast.TemplateLit:
 		exprs := make([]ast.Expr, len(x.Exprs))
 		for i, sub := range x.Exprs {
@@ -466,13 +480,13 @@ func (ins *instrumentor) expr(e ast.Expr) ast.Expr {
 		if x.Op == "delete" || x.Op == "typeof" {
 			// delete needs a raw member target; typeof of an undeclared
 			// identifier must stay syntactic
-			return x
+			return ins.copyExpr(x)
 		}
 		return &ast.UnaryExpr{NodeInfo: x.NodeInfo, Op: x.Op, X: ins.expr(x.X)}
 	case *ast.UpdateExpr:
-		return &ast.UpdateExpr{NodeInfo: x.NodeInfo, Op: x.Op, Prefix: x.Prefix, X: x.X}
+		return &ast.UpdateExpr{NodeInfo: x.NodeInfo, Op: x.Op, Prefix: x.Prefix, X: ins.copyExpr(x.X)}
 	case *ast.AssignExpr:
-		target := x.Target // assignment targets are not rewritten
+		target := ins.copyExpr(x.Target) // assignment targets are not rewritten
 		val := ins.expr(x.Value)
 		// compound assignments derive a value: rewrite a ⊕= b into
 		// a = __t.binaryOp("⊕", a, b) on sensitive paths
@@ -544,10 +558,10 @@ func (ins *instrumentor) call(x *ast.CallExpr) ast.Expr {
 		return ins.tau(pos, "invoke", ins.expr(callee.Object), ins.expr(callee.Index), argArr, ins.site(pos))
 	case *ast.Ident:
 		if callee.Name == ins.opts.TrackerVar || callee.Name == "require" {
-			return &ast.CallExpr{NodeInfo: x.NodeInfo, Callee: callee, Args: args}
+			return &ast.CallExpr{NodeInfo: x.NodeInfo, Callee: ins.copyExpr(callee), Args: args}
 		}
 		ins.res.Invokes++
-		return ins.tau(pos, "call", callee, argArr, ins.site(pos))
+		return ins.tau(pos, "call", ins.copyExpr(callee), argArr, ins.site(pos))
 	default:
 		ins.res.Invokes++
 		return ins.tau(pos, "call", ins.expr(x.Callee), argArr, ins.site(pos))
@@ -640,11 +654,13 @@ func (ins *instrumentor) cloneRead(e ast.Expr) (ast.Expr, bool) {
 	return nil, false
 }
 
-// mustCloneRead is cloneRead for assignment targets, which are always
-// clonable reads (Ident or MemberExpr).
+// mustCloneRead is cloneRead for assignment targets (Ident or
+// MemberExpr). A target with a side-effecting part, such as a[f()], is
+// copied whole with fresh IDs: the output re-evaluates it, as the printed
+// source always has.
 func (ins *instrumentor) mustCloneRead(e ast.Expr) ast.Expr {
 	if c, ok := ins.cloneRead(e); ok {
 		return c
 	}
-	return e
+	return ast.CopyExpr(e, func(int) int { return ins.id() })
 }

@@ -88,7 +88,7 @@ var keywords = map[string]bool{
 // IsKeyword reports whether name is a MiniJS keyword.
 func IsKeyword(name string) bool { return keywords[name] }
 
-// multi-character punctuators, longest-match-first.
+// puncts lists the punctuators, longest-match-first.
 var puncts = []string{
 	"===", "!==", "**=", "...", ">>>", "<<=", ">>=", "&&=", "||=", "??=",
 	"=>", "==", "!=", "<=", ">=", "&&", "||", "??", "++", "--", "+=", "-=",
@@ -96,6 +96,21 @@ var puncts = []string{
 	"+", "-", "*", "/", "%", "=", "<", ">", "!", "&", "|", "^", "~", "?",
 	":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
 }
+
+// punctTable holds, for each first byte, the punctuators that start with
+// it, in the longest-match-first order of puncts.
+type punctTable [256][]string
+
+// punctsByFirst is the table Next matches punctuators against: one
+// bucket of at most a handful of entries per lookup instead of all of
+// puncts.
+var punctsByFirst = func() *punctTable {
+	var t punctTable
+	for _, p := range puncts {
+		t[p[0]] = append(t[p[0]], p)
+	}
+	return &t
+}()
 
 // Error is a lexical error with position information.
 type Error struct {
@@ -118,17 +133,41 @@ type Lexer struct {
 	// lexer resumes the enclosing template literal.
 	templateDepth []int
 	nlPending     bool
+
+	puncts *punctTable
 }
 
 // New returns a lexer over src.
 func New(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+	return &Lexer{src: src, line: 1, col: 1, puncts: punctsByFirst}
 }
 
 // Tokenize scans the whole input and returns the token list, terminated by
 // an EOF token.
 func Tokenize(src string) ([]Token, error) {
+	return New(src).all()
+}
+
+// linearPuncts puts every punctuator in every bucket, so a lookup tries
+// all of puncts in order: the scan punctsByFirst replaced.
+var linearPuncts = func() *punctTable {
+	var t punctTable
+	for i := range t {
+		t[i] = puncts
+	}
+	return &t
+}()
+
+// TokenizeLinear is Tokenize matching punctuators by the linear scan over
+// every entry. It is the oracle the tests hold the first-byte buckets to:
+// both must produce identical token streams.
+func TokenizeLinear(src string) ([]Token, error) {
 	lx := New(src)
+	lx.puncts = linearPuncts
+	return lx.all()
+}
+
+func (lx *Lexer) all() ([]Token, error) {
 	var toks []Token
 	for {
 		t, err := lx.Next()
@@ -231,11 +270,12 @@ func (lx *Lexer) Next() (Token, error) {
 		}
 		return mk(TemplateMid, chunk), nil
 	default:
-		for _, p := range puncts {
-			if strings.HasPrefix(lx.src[lx.pos:], p) {
-				for range p {
-					lx.advance()
-				}
+		rest := lx.src[lx.pos:]
+		for _, p := range lx.puncts[c] {
+			if strings.HasPrefix(rest, p) {
+				// no punctuator holds a newline
+				lx.pos += len(p)
+				lx.col += len(p)
 				if len(lx.templateDepth) > 0 {
 					top := len(lx.templateDepth) - 1
 					switch p {

@@ -1,8 +1,11 @@
 package parser
 
 import (
+	"reflect"
 	"testing"
 
+	"turnstile/internal/asttest"
+	"turnstile/internal/lexer"
 	"turnstile/internal/printer"
 )
 
@@ -32,6 +35,13 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		// the first-byte punctuator buckets against the linear scan they
+		// replaced: same tokens, or the same error
+		toks, terr := lexer.Tokenize(src)
+		want, werr := lexer.TokenizeLinear(src)
+		if !reflect.DeepEqual(toks, want) || !reflect.DeepEqual(terr, werr) {
+			t.Fatalf("token streams differ on %q:\nbucketed %v (err %v)\nlinear   %v (err %v)", src, toks, terr, want, werr)
+		}
 		prog, err := Parse("fuzz.js", src)
 		if err != nil {
 			return // rejected input is fine; panics are not
@@ -44,6 +54,16 @@ func FuzzParse(f *testing.F) {
 		}
 		if out2 := printer.Print(prog2); out2 != out1 {
 			t.Fatalf("print not idempotent\ninput: %q\nfirst:\n%s\nsecond:\n%s", src, out1, out2)
+		}
+		// stamping is a printer property: Stamp prints the same text and
+		// leaves its tree equal, positions included, to the parsed print
+		own, _ := Parse(prog2.File, src)
+		stamped, err := printer.Stamp(own)
+		if err != nil || stamped != out1 {
+			t.Fatalf("Stamp printed differently (err %v)\ninput: %q", err, src)
+		}
+		if d := asttest.Diff(own, prog2); d != "" {
+			t.Fatalf("stamped tree differs from the parsed print: %s\ninput: %q\noutput:\n%s", d, src, out1)
 		}
 	})
 }

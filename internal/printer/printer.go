@@ -5,6 +5,12 @@
 // deployed in place of the original. Output is deterministic and re-parses
 // to an equivalent tree; expressions are parenthesized conservatively where
 // precedence could otherwise change.
+//
+// Print and SafePrint only read the tree they print: callers print ASTs
+// that a pipeline cache shares between goroutines. Stamp prints the same
+// text and, as it goes, rewrites the tree it owns into the one
+// parser.Parse builds from that text, so the deploy path can run the tree
+// without parsing the text again.
 package printer
 
 import (
@@ -41,7 +47,37 @@ func Print(prog *ast.Program) string {
 
 // SafePrint is Print with the depth limit surfaced as a *guard.PipelineError
 // instead of a panic.
-func SafePrint(prog *ast.Program) (out string, err error) {
+func SafePrint(prog *ast.Program) (string, error) {
+	return (&printer{}).program(prog)
+}
+
+// Stamp prints prog exactly as SafePrint does and, while printing,
+// rewrites prog into the tree parser.Parse builds from the printed text,
+// except for node IDs:
+//
+//   - every node's position becomes the one the parser gives it in the
+//     text (a node anchored at its first token gets that token's
+//     position, an operator or suffix node its leftmost operand's);
+//   - every bare loop or branch body, which the text braces, is wrapped
+//     in the block the parser reads back, with a fresh ID below the new
+//     prog.MaxID;
+//   - a function name the text cannot carry (arrows, methods keyed by a
+//     string) is dropped, and a class method's function takes the
+//     method's name, as the parser names them.
+//
+// prog must not share nodes with a tree anyone else reads. On error prog
+// is partly rewritten and must not be run.
+func Stamp(prog *ast.Program) (string, error) {
+	p := &printer{stamp: true, line: 1, nextID: prog.MaxID}
+	prog.Loc = ast.Pos{}
+	out, err := p.program(prog)
+	prog.MaxID = p.nextID
+	return out, err
+}
+
+// program prints every statement of prog, surfacing the depth limit as
+// an error.
+func (p *printer) program(prog *ast.Program) (out string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if pa, ok := r.(printAbort); ok {
@@ -51,7 +87,10 @@ func SafePrint(prog *ast.Program) (out string, err error) {
 			panic(r)
 		}
 	}()
-	return Print(prog), nil
+	for _, s := range prog.Body {
+		p.stmt(s, 0)
+	}
+	return p.b.String(), nil
 }
 
 // PrintExpr renders a single expression.
@@ -71,6 +110,46 @@ func PrintStmt(s ast.Stmt) string {
 type printer struct {
 	b     strings.Builder
 	depth int
+
+	// Stamp state: the line of the text up to scanned, the offset that
+	// line starts at, and the next free node ID.
+	stamp     bool
+	line      int
+	lineStart int
+	scanned   int
+	nextID    int
+}
+
+// here returns the position the lexer gives the next byte written.
+func (p *printer) here() ast.Pos {
+	s := p.b.String()
+	for {
+		i := strings.IndexByte(s[p.scanned:], '\n')
+		if i < 0 {
+			break
+		}
+		p.line++
+		p.scanned += i + 1
+		p.lineStart = p.scanned
+	}
+	p.scanned = len(s)
+	return ast.Pos{Line: p.line, Col: len(s) - p.lineStart + 1}
+}
+
+// mark stamps n with the position of the next byte written: the parser
+// anchors n at the token that starts there.
+func (p *printer) mark(n *ast.NodeInfo) {
+	if p.stamp {
+		n.Loc = p.here()
+	}
+}
+
+// inherit stamps n with an already printed child's position: the parser
+// anchors operator and suffix nodes at their leftmost operand.
+func (p *printer) inherit(n *ast.NodeInfo, from ast.Node) {
+	if p.stamp {
+		n.Loc = from.Pos()
+	}
 }
 
 func (p *printer) ws(indent int) { p.b.WriteString(strings.Repeat("  ", indent)) }
@@ -91,17 +170,16 @@ func (p *printer) leave() { p.depth-- }
 func (p *printer) stmt(s ast.Stmt, indent int) {
 	p.enter()
 	defer p.leave()
+	p.ws(indent)
 	switch x := s.(type) {
 	case *ast.VarDecl:
-		p.ws(indent)
 		p.varDeclHead(x)
 		p.b.WriteString(";\n")
 	case *ast.FuncDecl:
-		p.ws(indent)
-		p.funcLit(x.Fn, indent, x.Name)
+		p.funcLit(x.Fn, indent, x)
 		p.b.WriteString("\n")
 	case *ast.ExprStmt:
-		p.ws(indent)
+		p.mark(&x.NodeInfo)
 		// Statements whose leftmost token would be '{' or 'function' are
 		// ambiguous at statement position; wrap them in parens.
 		if startsAmbiguously(x.X) {
@@ -113,7 +191,7 @@ func (p *printer) stmt(s ast.Stmt, indent int) {
 		}
 		p.b.WriteString(";\n")
 	case *ast.ReturnStmt:
-		p.ws(indent)
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("return")
 		if x.Value != nil {
 			p.b.WriteString(" ")
@@ -121,15 +199,15 @@ func (p *printer) stmt(s ast.Stmt, indent int) {
 		}
 		p.b.WriteString(";\n")
 	case *ast.IfStmt:
-		p.ws(indent)
 		p.ifChain(x, indent)
 	case *ast.ForStmt:
-		p.ws(indent)
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("for (")
 		switch init := x.Init.(type) {
 		case *ast.VarDecl:
 			p.varDeclHead(init)
 		case *ast.ExprStmt:
+			p.mark(&init.NodeInfo)
 			p.expr(init.X, 0)
 		}
 		p.b.WriteString("; ")
@@ -141,9 +219,9 @@ func (p *printer) stmt(s ast.Stmt, indent int) {
 			p.expr(x.Post, 0)
 		}
 		p.b.WriteString(") ")
-		p.nestedBody(x.Body, indent)
+		p.nestedBody(&x.Body, indent)
 	case *ast.ForInStmt:
-		p.ws(indent)
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("for (")
 		if x.Decl {
 			p.b.WriteString(x.DeclKind.String())
@@ -157,37 +235,36 @@ func (p *printer) stmt(s ast.Stmt, indent int) {
 		}
 		p.expr(x.Object, 0)
 		p.b.WriteString(") ")
-		p.nestedBody(x.Body, indent)
+		p.nestedBody(&x.Body, indent)
 	case *ast.WhileStmt:
-		p.ws(indent)
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("while (")
 		p.expr(x.Cond, 0)
 		p.b.WriteString(") ")
-		p.nestedBody(x.Body, indent)
+		p.nestedBody(&x.Body, indent)
 	case *ast.DoWhileStmt:
-		p.ws(indent)
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("do ")
-		p.nestedBodyNoNL(x.Body, indent)
+		p.nestedBodyNoNL(&x.Body, indent)
 		p.b.WriteString(" while (")
 		p.expr(x.Cond, 0)
 		p.b.WriteString(");\n")
 	case *ast.BlockStmt:
-		p.ws(indent)
 		p.block(x, indent)
 		p.b.WriteString("\n")
 	case *ast.BreakStmt:
-		p.ws(indent)
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("break;\n")
 	case *ast.ContinueStmt:
-		p.ws(indent)
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("continue;\n")
 	case *ast.ThrowStmt:
-		p.ws(indent)
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("throw ")
 		p.expr(x.Value, 0)
 		p.b.WriteString(";\n")
 	case *ast.TryStmt:
-		p.ws(indent)
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("try ")
 		p.block(x.Body, indent)
 		if x.Catch != nil {
@@ -203,12 +280,13 @@ func (p *printer) stmt(s ast.Stmt, indent int) {
 		}
 		p.b.WriteString("\n")
 	case *ast.SwitchStmt:
-		p.ws(indent)
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("switch (")
 		p.expr(x.Disc, 0)
 		p.b.WriteString(") {\n")
 		for _, c := range x.Cases {
 			p.ws(indent + 1)
+			p.mark(&c.NodeInfo)
 			if c.Test != nil {
 				p.b.WriteString("case ")
 				p.expr(c.Test, 0)
@@ -223,16 +301,18 @@ func (p *printer) stmt(s ast.Stmt, indent int) {
 		p.ws(indent)
 		p.b.WriteString("}\n")
 	case *ast.ClassDecl:
-		p.ws(indent)
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("class ")
 		p.b.WriteString(x.Name)
 		if x.SuperClass != nil {
 			p.b.WriteString(" extends ")
-			p.expr(x.SuperClass, 0)
+			// the parser reads a call-level expression here
+			p.expr(x.SuperClass, precCall)
 		}
 		p.b.WriteString(" {\n")
 		for _, m := range x.Methods {
 			p.ws(indent + 1)
+			p.mark(&m.NodeInfo)
 			if m.Static {
 				p.b.WriteString("static ")
 			}
@@ -244,6 +324,10 @@ func (p *printer) stmt(s ast.Stmt, indent int) {
 			} else {
 				p.b.WriteString(quoteJS(m.Name))
 			}
+			if p.stamp {
+				m.Fn.Name = m.Name
+			}
+			p.mark(&m.Fn.NodeInfo)
 			p.params(m.Fn.Params)
 			p.b.WriteString(" ")
 			p.block(m.Fn.Body, indent+1)
@@ -252,7 +336,7 @@ func (p *printer) stmt(s ast.Stmt, indent int) {
 		p.ws(indent)
 		p.b.WriteString("}\n")
 	case *ast.EmptyStmt:
-		p.ws(indent)
+		p.mark(&x.NodeInfo)
 		p.b.WriteString(";\n")
 	default:
 		panic(fmt.Sprintf("printer: unknown statement %T", s))
@@ -261,40 +345,46 @@ func (p *printer) stmt(s ast.Stmt, indent int) {
 
 // ifChain prints if/else-if chains without re-indenting each else-if.
 func (p *printer) ifChain(x *ast.IfStmt, indent int) {
+	p.mark(&x.NodeInfo)
 	p.b.WriteString("if (")
 	p.expr(x.Cond, 0)
 	p.b.WriteString(") ")
-	p.nestedBodyNoNL(x.Then, indent)
+	p.nestedBodyNoNL(&x.Then, indent)
 	if x.Else != nil {
 		p.b.WriteString(" else ")
 		if ei, ok := x.Else.(*ast.IfStmt); ok {
 			p.ifChain(ei, indent)
 			return
 		}
-		p.nestedBodyNoNL(x.Else, indent)
+		p.nestedBodyNoNL(&x.Else, indent)
 	}
 	p.b.WriteString("\n")
 }
 
 // nestedBody prints a loop/conditional body followed by a newline.
-func (p *printer) nestedBody(s ast.Stmt, indent int) {
+func (p *printer) nestedBody(s *ast.Stmt, indent int) {
 	p.nestedBodyNoNL(s, indent)
 	p.b.WriteString("\n")
 }
 
-func (p *printer) nestedBodyNoNL(s ast.Stmt, indent int) {
-	if blk, ok := s.(*ast.BlockStmt); ok {
-		p.block(blk, indent)
-		return
+// nestedBodyNoNL prints the body *s as a block. A bare single statement
+// is braced for output robustness; the parser reads the braces back as a
+// block, so Stamp puts that block into the tree at *s.
+func (p *printer) nestedBodyNoNL(s *ast.Stmt, indent int) {
+	blk, ok := (*s).(*ast.BlockStmt)
+	if !ok {
+		blk = &ast.BlockStmt{Body: []ast.Stmt{*s}}
+		if p.stamp {
+			blk.ID = p.nextID
+			p.nextID++
+			*s = blk
+		}
 	}
-	// single-statement body: wrap in a block for output robustness
-	p.b.WriteString("{\n")
-	p.stmt(s, indent+1)
-	p.ws(indent)
-	p.b.WriteString("}")
+	p.block(blk, indent)
 }
 
 func (p *printer) block(blk *ast.BlockStmt, indent int) {
+	p.mark(&blk.NodeInfo)
 	p.b.WriteString("{\n")
 	for _, s := range blk.Body {
 		p.stmt(s, indent+1)
@@ -304,12 +394,14 @@ func (p *printer) block(blk *ast.BlockStmt, indent int) {
 }
 
 func (p *printer) varDeclHead(vd *ast.VarDecl) {
+	p.mark(&vd.NodeInfo)
 	p.b.WriteString(vd.Kind.String())
 	p.b.WriteString(" ")
 	for i, d := range vd.Decls {
 		if i > 0 {
 			p.b.WriteString(", ")
 		}
+		p.mark(&d.NodeInfo)
 		p.b.WriteString(d.Name)
 		if d.Init != nil {
 			p.b.WriteString(" = ")
@@ -324,6 +416,7 @@ func (p *printer) params(params []*ast.Param) {
 		if i > 0 {
 			p.b.WriteString(", ")
 		}
+		p.mark(&pa.NodeInfo)
 		if pa.Rest {
 			p.b.WriteString("...")
 		}
@@ -332,8 +425,14 @@ func (p *printer) params(params []*ast.Param) {
 	p.b.WriteString(")")
 }
 
-func (p *printer) funcLit(fn *ast.FuncLit, indent int, name string) {
+// funcLit prints a function literal; decl is its declaration, or nil for
+// a function expression.
+func (p *printer) funcLit(fn *ast.FuncLit, indent int, decl *ast.FuncDecl) {
 	if fn.Arrow {
+		p.mark(&fn.NodeInfo)
+		if p.stamp {
+			fn.Name = ""
+		}
 		if fn.Async {
 			p.b.WriteString("async ")
 		}
@@ -356,16 +455,26 @@ func (p *printer) funcLit(fn *ast.FuncLit, indent int, name string) {
 	if fn.Async {
 		p.b.WriteString("async ")
 	}
-	p.b.WriteString("function")
-	// a function's printable name must be a valid identifier; shorthand
-	// methods with string/numeric keys carry the raw key in Name
-	if name == "" {
-		name = fn.Name
+	// a declaration is named by the parser's identifier rule, contextual
+	// keywords included; a function expression's printable name must be a
+	// plain identifier, and shorthand methods with string/numeric keys
+	// carry the raw key in Name
+	name := fn.Name
+	if decl != nil {
+		p.mark(&decl.NodeInfo)
+		name = decl.Name
+	} else if !isIdentKey(name) || lexer.IsKeyword(name) {
+		name = ""
 	}
-	if isIdentKey(name) && !lexer.IsKeyword(name) {
+	p.b.WriteString("function")
+	if name != "" {
 		p.b.WriteString(" ")
 		p.b.WriteString(name)
 	}
+	if p.stamp {
+		fn.Name = name
+	}
+	p.mark(&fn.NodeInfo)
 	p.params(fn.Params)
 	p.b.WriteString(" ")
 	p.block(fn.Body, indent)
@@ -399,12 +508,16 @@ func (p *printer) expr(e ast.Expr, ctx int) {
 	defer p.leave()
 	switch x := e.(type) {
 	case *ast.Ident:
+		p.mark(&x.NodeInfo)
 		p.b.WriteString(x.Name)
 	case *ast.NumberLit:
+		p.mark(&x.NodeInfo)
 		p.b.WriteString(formatNumber(x.Value))
 	case *ast.StringLit:
+		p.mark(&x.NodeInfo)
 		p.b.WriteString(quoteJS(x.Value))
 	case *ast.TemplateLit:
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("`")
 		for i, q := range x.Quasis {
 			p.b.WriteString(escapeTemplate(q))
@@ -416,18 +529,23 @@ func (p *printer) expr(e ast.Expr, ctx int) {
 		}
 		p.b.WriteString("`")
 	case *ast.BoolLit:
+		p.mark(&x.NodeInfo)
 		if x.Value {
 			p.b.WriteString("true")
 		} else {
 			p.b.WriteString("false")
 		}
 	case *ast.NullLit:
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("null")
 	case *ast.UndefinedLit:
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("undefined")
 	case *ast.ThisExpr:
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("this")
 	case *ast.ArrayLit:
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("[")
 		for i, el := range x.Elems {
 			if i > 0 {
@@ -437,11 +555,13 @@ func (p *printer) expr(e ast.Expr, ctx int) {
 		}
 		p.b.WriteString("]")
 	case *ast.ObjectLit:
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("{ ")
 		for i, prop := range x.Props {
 			if i > 0 {
 				p.b.WriteString(", ")
 			}
+			p.mark(&prop.NodeInfo)
 			switch {
 			case prop.Spread:
 				p.b.WriteString("...")
@@ -472,19 +592,21 @@ func (p *printer) expr(e ast.Expr, ctx int) {
 		if needParens {
 			p.b.WriteString("(")
 		}
-		p.funcLit(x, 0, "")
+		p.funcLit(x, 0, nil)
 		if needParens {
 			p.b.WriteString(")")
 		}
 	case *ast.CallExpr:
 		p.paren(ctx > precCall, func() {
 			p.expr(x.Callee, precCall)
+			p.inherit(&x.NodeInfo, x.Callee)
 			p.args(x.Args)
 		})
 	case *ast.NewExpr:
 		p.paren(ctx > precCall, func() {
+			p.mark(&x.NodeInfo)
 			p.b.WriteString("new ")
-			p.expr(x.Callee, precCall)
+			p.paren(newCalleeNeedsParens(x.Callee), func() { p.expr(x.Callee, precCall) })
 			p.args(x.Args)
 		})
 	case *ast.MemberExpr:
@@ -497,6 +619,7 @@ func (p *printer) expr(e ast.Expr, ctx int) {
 			} else {
 				p.expr(x.Object, precCall)
 			}
+			p.inherit(&x.NodeInfo, x.Object)
 			if x.Computed {
 				p.b.WriteString("[")
 				p.expr(x.Index, 0)
@@ -510,6 +633,7 @@ func (p *printer) expr(e ast.Expr, ctx int) {
 		prec := printBinPrec[x.Op]
 		p.paren(ctx > prec, func() {
 			p.expr(x.Left, prec)
+			p.inherit(&x.NodeInfo, x.Left)
 			p.b.WriteString(" " + x.Op + " ")
 			p.expr(x.Right, prec+1)
 		})
@@ -517,13 +641,15 @@ func (p *printer) expr(e ast.Expr, ctx int) {
 		prec := printBinPrec[x.Op]
 		p.paren(ctx > prec, func() {
 			p.expr(x.Left, prec)
+			p.inherit(&x.NodeInfo, x.Left)
 			p.b.WriteString(" " + x.Op + " ")
 			p.expr(x.Right, prec+1)
 		})
 	case *ast.UnaryExpr:
 		p.paren(ctx > precUnary, func() {
+			p.mark(&x.NodeInfo)
 			p.b.WriteString(x.Op)
-			if len(x.Op) > 1 {
+			if len(x.Op) > 1 || mergesWithSign(x.Op, x.X) {
 				p.b.WriteString(" ")
 			}
 			p.expr(x.X, precUnary)
@@ -531,22 +657,26 @@ func (p *printer) expr(e ast.Expr, ctx int) {
 	case *ast.UpdateExpr:
 		p.paren(ctx > precUnary, func() {
 			if x.Prefix {
+				p.mark(&x.NodeInfo)
 				p.b.WriteString(x.Op)
 				p.expr(x.X, precUnary)
 			} else {
 				p.expr(x.X, precCall)
+				p.inherit(&x.NodeInfo, x.X)
 				p.b.WriteString(x.Op)
 			}
 		})
 	case *ast.AssignExpr:
 		p.paren(ctx > precAssign, func() {
 			p.expr(x.Target, precCall)
+			p.inherit(&x.NodeInfo, x.Target)
 			p.b.WriteString(" " + x.Op + " ")
 			p.expr(x.Value, precAssign)
 		})
 	case *ast.CondExpr:
 		p.paren(ctx > precCond, func() {
 			p.expr(x.Cond, precCond+1)
+			p.inherit(&x.NodeInfo, x.Cond)
 			p.b.WriteString(" ? ")
 			p.expr(x.Then, precAssign)
 			p.b.WriteString(" : ")
@@ -559,18 +689,62 @@ func (p *printer) expr(e ast.Expr, ctx int) {
 					p.b.WriteString(", ")
 				}
 				p.expr(sub, precAssign)
+				if i == 0 {
+					p.inherit(&x.NodeInfo, sub)
+				}
 			}
 		})
 	case *ast.SpreadExpr:
+		p.mark(&x.NodeInfo)
 		p.b.WriteString("...")
 		p.expr(x.X, precAssign)
 	case *ast.AwaitExpr:
 		p.paren(ctx > precUnary, func() {
+			p.mark(&x.NodeInfo)
 			p.b.WriteString("await ")
 			p.expr(x.X, precUnary)
 		})
 	default:
 		panic(fmt.Sprintf("printer: unknown expression %T", e))
+	}
+}
+
+// mergesWithSign reports whether a prefix + or - printed right before x
+// would lex together with x's own leading sign (- -a as --a, + ++a as
+// +++a), so a space must separate them.
+func mergesWithSign(op string, x ast.Expr) bool {
+	if op != "-" && op != "+" {
+		return false
+	}
+	switch y := x.(type) {
+	case *ast.UnaryExpr:
+		return y.Op[0] == op[0]
+	case *ast.UpdateExpr:
+		return y.Prefix && y.Op[0] == op[0]
+	}
+	return false
+}
+
+// newCalleeNeedsParens reports whether a `new` callee printed bare would
+// read back differently. The parser takes a primary expression followed
+// only by dotted names as the callee, so a call, a nested new or a
+// computed member along that chain needs parentheses.
+func newCalleeNeedsParens(e ast.Expr) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.CallExpr, *ast.NewExpr:
+			return true
+		case *ast.MemberExpr:
+			if x.Computed {
+				return true
+			}
+			if _, isNum := x.Object.(*ast.NumberLit); isNum {
+				return false // printed parenthesized
+			}
+			e = x.Object
+		default:
+			return false
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Verification driver: build, vet and format checks, the test suite plain
-# and under -race, the fuzz smokes, the opt-in perf gates, and the two CLI
-# round trips no Go test drives. Every byte-comparison between engines and
+# and under -race, the fuzz smokes, the benchmark module's build and smoke,
+# the opt-in perf gates, and the two CLI round trips no Go test drives. Every byte-comparison between engines and
 # worker counts is a row of TestReportGates (internal/harness/gates_test.go)
 # and runs with the suite.
 # Run from the repository root: ./scripts/verify.sh
@@ -30,6 +30,15 @@ go test ./internal/harness -run '^$' -fuzz FuzzVMEquivalence -fuzztime 5s
 go test ./internal/interp -run '^$' -fuzz FuzzInterpNoPanicWithinFuel -fuzztime 5s -race
 go test ./internal/dift -run '^$' -fuzz FuzzDataLabelsEquivalence -fuzztime 5s -race
 go test ./internal/resolve -run '^$' -fuzz FuzzResolveEquivalence -fuzztime 5s -race
+go test ./internal/parser -run '^$' -fuzz '^FuzzParse$' -fuzztime 5s -race
+# FuzzPipeline and FuzzInstrumentEquivalence both check the deploy path's
+# contract (owned tree, stamped tree = parsed print, same bytecode). Only
+# FuzzPipeline runs here: FuzzInstrumentEquivalence finds, within seconds,
+# a known transparency bug (compound assignment to an undeclared name).
+go test ./internal/instrument -run '^$' -fuzz '^FuzzPipeline$' -fuzztime 5s
+
+echo "== benchmark module: build, vet and smoke (catches signature changes bench/ calls)"
+(cd bench && go vet ./... && go test ./...)
 
 echo "== perf gates (disabled telemetry, slot env, VM; see BENCH_vm.json)"
 TURNSTILE_BENCH_GATE=1 go test ./internal/dift -run TestDisabledOverheadGate -v
