@@ -41,10 +41,11 @@
 //
 // Engine flag: -engine walker runs every interpreter on the tree-walker,
 // the bytecode VM's differential oracle, instead of the VM (-engine vm,
-// the default). Every report is byte-identical on both engines. -bench
-// runs the slot-env vs map-walk interpreter microbenchmarks
-// (-benchrepeats best-of repeats) and -benchout FILE writes the report
-// JSON (the committed BENCH_*.json artifacts).
+// the default). Every report is byte-identical on both engines. -benchvm
+// runs the interpreter microbenchmarks, timing the bytecode VM, the
+// slot-env tree-walker and the map walk interleaved (-benchrepeats
+// best-of repeats), and -benchvmout FILE writes the report JSON (the
+// committed BENCH_vm.json).
 //
 // Generated-corpus mode: -gen N generates and scores N seeded stratified
 // apps (-genseed S selects the population; same (N, seed) → byte-identical
@@ -114,10 +115,8 @@ func main() {
 	profileOut := flag.String("profile", "", "write a pprof CPU profile of the whole run to this file")
 	var engine interp.Engine
 	flag.TextVar(&engine, "engine", interp.EngineVM, "execution engine: vm or walker (the VM's differential oracle)")
-	bench := flag.Bool("bench", false, "run the slot-env vs map-walk interpreter microbenchmarks")
-	benchOut := flag.String("benchout", "", "also write the microbenchmark report JSON to this file (e.g. BENCH_baseline.json)")
 	benchRepeats := flag.Int("benchrepeats", 5, "best-of repeats per microbenchmark mode")
-	benchVM := flag.Bool("benchvm", false, "run the bytecode-VM vs tree-walker interpreter microbenchmarks")
+	benchVM := flag.Bool("benchvm", false, "run the interpreter microbenchmarks: bytecode VM, slot-env walker and map walk")
 	benchVMOut := flag.String("benchvmout", "", "also write the VM microbenchmark report JSON to this file (e.g. BENCH_vm.json)")
 	serveSoak := flag.Bool("serve", false, "run the multi-tenant serve-daemon soak")
 	serveTenants := flag.Int("servetenants", 4, "well-behaved tenant count for the soak")
@@ -157,7 +156,7 @@ func main() {
 	if *all {
 		*table2, *fig10, *fig11, *fig12, *chaos, *crash, *attack, *metrics = true, true, true, true, true, true, true, true
 	}
-	if !*table2 && !*fig10 && !*fig11 && !*fig12 && !*chaos && !*crash && !*attack && !*metrics && !*bench && !*benchVM && !*serveSoak && !*recovery && *gen == 0 {
+	if !*table2 && !*fig10 && !*fig11 && !*fig12 && !*chaos && !*crash && !*attack && !*metrics && !*benchVM && !*serveSoak && !*recovery && *gen == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -195,24 +194,6 @@ func main() {
 				fatal(err)
 			}
 			fmt.Printf("wrote %s\n", *serveOut)
-		}
-	}
-
-	if *bench {
-		rep, err := harness.RunMicrobench(*benchRepeats)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(harness.RenderMicrobench(rep))
-		if *benchOut != "" {
-			data, err := harness.ExportMicrobenchJSON(rep)
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *benchOut)
 		}
 	}
 

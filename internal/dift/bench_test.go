@@ -135,17 +135,15 @@ func TestDisabledOverheadGate(t *testing.T) {
 // struct at all. It exists only as the benchmark baseline; keep it in
 // lockstep with the real methods when the hot path changes.
 type refTracker struct {
-	pol       *policy.Policy
-	adapter   ValueAdapter
-	labels    map[uint64]policy.LabelSet
-	invokeFns map[uint64]policy.LabelFunc
-	stats     Stats
+	pol     *policy.Policy
+	adapter ValueAdapter
+	stats   Stats
 }
 
-// newRefTracker shares the real tracker's label state so both variants
-// operate on identically-labelled values.
+// newRefTracker shares the real tracker's policy and adapter; labels live
+// on the values, so both variants operate on identically-labelled values.
 func newRefTracker(t *Tracker) *refTracker {
-	return &refTracker{pol: t.Policy, adapter: t.Adapter, labels: t.labels, invokeFns: t.invokeFns}
+	return &refTracker{pol: t.Policy, adapter: t.Adapter}
 }
 
 func (r *refTracker) runOpMix(data, recv, tmp *tObj) {
@@ -157,7 +155,7 @@ func (r *refTracker) runOpMix(data, recv, tmp *tObj) {
 
 func (r *refTracker) labelsOf(v any) policy.LabelSet {
 	if ref, ok := v.(Ref); ok {
-		return r.labels[ref.RefID()]
+		return ref.labelSlot().get(confidentiality)
 	}
 	return nil
 }
@@ -165,18 +163,19 @@ func (r *refTracker) labelsOf(v any) policy.LabelSet {
 // attachOwned mirrors Tracker.attachOwned: ls is fresh and stored as is.
 func (r *refTracker) attachOwned(v any, ls policy.LabelSet) any {
 	if ref, ok := v.(Ref); ok {
-		id := ref.RefID()
-		for l := range r.labels[id] {
+		rec := ref.labelSlot().record()
+		for l := range rec.sets[confidentiality] {
 			ls[l] = struct{}{}
 		}
-		r.labels[id] = ls
+		rec.sets[confidentiality] = ls
 		return v
 	}
 	if !r.adapter.IsReference(v) {
 		r.stats.Boxed++
-		b := &Box{Val: v, id: NextRefID()}
-		r.labels[b.id] = ls
-		return b
+		b := &labelledBox{Box: Box{Val: v}}
+		b.rec = &b.own
+		b.own.sets[confidentiality] = ls
+		return &b.Box
 	}
 	return v
 }
@@ -201,7 +200,7 @@ func (r *refTracker) track(v any) any {
 		return v
 	}
 	r.stats.Boxed++
-	return &Box{Val: v, id: NextRefID()}
+	return &Box{Val: v}
 }
 
 func (r *refTracker) plain(v any) bool {
@@ -213,7 +212,7 @@ func (r *refTracker) plain(v any) bool {
 
 func (r *refTracker) dataLabels(v any) policy.LabelSet {
 	if b, ok := v.(*Box); ok && r.plain(b.Val) {
-		return r.labels[b.id]
+		return b.get(confidentiality)
 	}
 	if r.plain(v) {
 		return nil
@@ -227,7 +226,7 @@ func (r *refTracker) dataLabels(v any) policy.LabelSet {
 type refCollector struct {
 	r    *refTracker
 	acc  policy.LabelSet
-	seen map[uint64]struct{}
+	seen map[*Labels]struct{}
 }
 
 func (c *refCollector) join(ls policy.LabelSet) {
@@ -260,22 +259,22 @@ func (c *refCollector) walk(v any, depth int) {
 	}
 	b, isBox := v.(*Box)
 	if isBox && r.plain(b.Val) {
-		c.join(r.labels[b.id])
+		c.join(b.get(confidentiality))
 		return
 	}
 	elems, isArr := r.adapter.Elements(v)
 	if ref, ok := v.(Ref); ok {
-		id := ref.RefID()
+		l := ref.labelSlot()
 		if isArr || isBox {
-			if _, dup := c.seen[id]; dup {
+			if _, dup := c.seen[l]; dup {
 				return
 			}
 			if c.seen == nil {
-				c.seen = make(map[uint64]struct{})
+				c.seen = make(map[*Labels]struct{})
 			}
-			c.seen[id] = struct{}{}
+			c.seen[l] = struct{}{}
 		}
-		c.join(r.labels[id])
+		c.join(l.get(confidentiality))
 	}
 	if isArr {
 		for _, el := range elems {
@@ -289,16 +288,22 @@ func (c *refCollector) walk(v any, depth int) {
 }
 
 func (r *refTracker) receiverLabels(recv any, args []any) policy.LabelSet {
-	ls := r.labelsOf(recv)
-	if ref, ok := recv.(Ref); ok {
-		if fn := r.invokeFns[ref.RefID()]; fn != nil {
-			raw := make([]any, len(args))
-			for i, a := range args {
-				raw[i] = Unwrap(a)
-			}
-			if dyn, err := fn(Unwrap(recv), raw); err == nil {
-				ls = ls.Union(dyn)
-			}
+	ref, ok := recv.(Ref)
+	if !ok {
+		return nil
+	}
+	rec := ref.labelSlot().rec
+	if rec == nil {
+		return nil
+	}
+	ls := rec.sets[confidentiality]
+	if rec.invoke != nil {
+		raw := make([]any, len(args))
+		for i, a := range args {
+			raw[i] = Unwrap(a)
+		}
+		if dyn, err := rec.invoke(Unwrap(recv), raw); err == nil {
+			ls = ls.Union(dyn)
 		}
 	}
 	return ls

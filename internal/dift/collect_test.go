@@ -20,12 +20,12 @@ import (
 
 func (t *Tracker) oracleDataLabels(v any) policy.LabelSet {
 	var union policy.LabelSet
-	seen := make(map[uint64]bool)
+	seen := make(map[*Labels]bool)
 	t.collect(v, &union, seen, 0)
 	return union
 }
 
-func (t *Tracker) collect(v any, union *policy.LabelSet, seen map[uint64]bool, depth int) {
+func (t *Tracker) collect(v any, union *policy.LabelSet, seen map[*Labels]bool, depth int) {
 	if depth > maxCollectDepth {
 		// Truncating a plain value is lossless — it carries no identity
 		// and reaches nothing — but truncating a Ref or a container may
@@ -47,13 +47,13 @@ func (t *Tracker) collect(v any, union *policy.LabelSet, seen map[uint64]bool, d
 		return
 	}
 	if r, ok := v.(Ref); ok {
-		id := r.RefID()
-		if seen[id] {
+		l := r.labelSlot()
+		if seen[l] {
 			return
 		}
-		seen[id] = true
-		if ls := t.labels[id]; !ls.Empty() {
-			*union = union.Union(ls)
+		seen[l] = true
+		if l.rec != nil && !l.rec.sets[confidentiality].Empty() {
+			*union = union.Union(l.rec.sets[confidentiality])
 		}
 	}
 	if elems, ok := t.Adapter.Elements(v); ok {
@@ -84,23 +84,23 @@ func (t *Tracker) collect(v any, union *policy.LabelSet, seen map[uint64]bool, d
 
 func (t *Tracker) oracleDataIntegrity(v any) policy.LabelSet {
 	var union policy.LabelSet
-	seen := make(map[uint64]bool)
+	seen := make(map[*Labels]bool)
 	t.collectInteg(v, &union, seen, 0)
 	return union
 }
 
-func (t *Tracker) collectInteg(v any, union *policy.LabelSet, seen map[uint64]bool, depth int) {
+func (t *Tracker) collectInteg(v any, union *policy.LabelSet, seen map[*Labels]bool, depth int) {
 	if depth > maxCollectDepth {
 		return
 	}
 	if r, ok := v.(Ref); ok {
-		id := r.RefID()
-		if seen[id] {
+		l := r.labelSlot()
+		if seen[l] {
 			return
 		}
-		seen[id] = true
-		if is := t.integ[id]; !is.Empty() {
-			*union = union.Union(is)
+		seen[l] = true
+		if l.rec != nil && !l.rec.sets[integrity].Empty() {
+			*union = union.Union(l.rec.sets[integrity])
 		}
 	}
 	if elems, ok := t.Adapter.Elements(v); ok {
@@ -255,8 +255,8 @@ func checkCollectorAgainstOracle(t *testing.T, data []byte) {
 	// equal the union of their separate collections
 	want, got := *tr, *tr
 	var wl, wi policy.LabelSet
-	c := collector{t: &got, table: got.labels, top: true}
-	ci := collector{t: &got, table: got.integ}
+	c := collector{t: &got}
+	ci := collector{t: &got, kind: integrity}
 	for _, root := range pool {
 		wl = wl.Union(want.oracleDataLabels(root))
 		wi = wi.Union(want.oracleDataIntegrity(root))

@@ -20,7 +20,7 @@ func (t *Tracker) CNFEnabled() bool { return t.cnf }
 // DataIntegrity walks containers.
 func (t *Tracker) IntegrityOf(v any) policy.LabelSet {
 	if r, ok := v.(Ref); ok {
-		return t.integ[r.RefID()]
+		return r.labelSlot().get(integrity)
 	}
 	return nil
 }
@@ -31,7 +31,7 @@ func (t *Tracker) AttachIntegrity(v any, is policy.LabelSet) any {
 	if is.Empty() {
 		return v
 	}
-	return t.attachOwned(t.integ, v, is.Clone())
+	return t.attachOwned(integrity, v, is.Clone())
 }
 
 // DataIntegrity collects the integrity facts of v and the values reachable
@@ -39,9 +39,9 @@ func (t *Tracker) AttachIntegrity(v any, is policy.LabelSet) any {
 // object properties). Truncation at the depth bound simply stops: losing
 // integrity facts is fail-safe (fewer exchanges fire, fewer
 // declassifications are trusted), the opposite polarity of DataLabels'
-// ⊤ join. Like DataLabels, the result may alias the tracker's table.
+// ⊤ join. Like DataLabels, the result may alias the set stored on v.
 func (t *Tracker) DataIntegrity(v any) policy.LabelSet {
-	return t.collectFrom(t.integ, false, v)
+	return t.collectFrom(integrity, v)
 }
 
 // deriveIntegrity propagates integrity facts onto a derived value: the
@@ -59,7 +59,7 @@ func (t *Tracker) deriveIntegrity(out any, sources []any) any {
 	if c.acc.Empty() {
 		return out
 	}
-	return t.attachOwned(t.integ, out, c.acc)
+	return t.attachOwned(integrity, out, c.acc)
 }
 
 // exchanged applies the policy's exchange rules to a checked data label,
@@ -68,7 +68,7 @@ func (t *Tracker) exchanged(dl policy.LabelSet, values ...any) policy.LabelSet {
 	if len(t.Policy.Exchanges) == 0 || dl.Empty() {
 		return dl
 	}
-	c := collector{t: t, table: t.integ}
+	c := collector{t: t, kind: integrity}
 	for _, v := range values {
 		c.root(v)
 	}
@@ -129,15 +129,13 @@ func (t *Tracker) Declassify(v any, name string) (out any, err error) {
 	if !isRef {
 		return v, nil // unlabelled value type: nothing to discharge
 	}
-	ls := t.labels[r.RefID()]
-	if ls.Empty() {
-		return v, nil
-	}
-	next := policy.Declassify(ls, dec.Removes)
-	if next.Empty() {
-		delete(t.labels, r.RefID())
-	} else {
-		t.labels[r.RefID()] = next
+	l := r.labelSlot()
+	if ls := l.get(confidentiality); !ls.Empty() {
+		if next := policy.Declassify(ls, dec.Removes); next.Empty() {
+			l.rec.sets[confidentiality] = nil
+		} else {
+			l.rec.sets[confidentiality] = next
+		}
 	}
 	return v, nil
 }

@@ -3,9 +3,11 @@
 // policy package and an adapter over the host runtime's values, so it can
 // be fused into any application (platform-independence, C2).
 //
-// The tracker maintains the global map from tracked objects to privacy
-// labels. Reference-type values carry their own identity (RefID);
-// value-type instances are wrapped in a Box container to give two equal
+// Labels live on the values they describe. Every reference-type runtime
+// value embeds a Labels slot holding its privacy labels, its integrity
+// facts and its $invoke labeller, so a value that dies takes its labels
+// with it and the tracker keeps no per-value state. Value-type instances
+// are wrapped in a Box, which embeds the same slot, to give two equal
 // values distinct labels, exactly as the paper wraps JavaScript primitives
 // (§4.4, "Tracking privacy-sensitive information flow"). Boxes are
 // unwrapped on writes to sinks so that external interfaces see native
@@ -15,16 +17,50 @@ package dift
 import (
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 
 	"turnstile/internal/policy"
 	"turnstile/internal/telemetry"
 )
 
-// Ref is implemented by reference-type runtime values; the identity is used
-// as the key in the tracker's label map.
-type Ref interface {
-	RefID() uint64
+// Ref is implemented by the runtime's reference values, the values that
+// carry labels of their own; only embedding Labels provides its method.
+type Ref interface{ labelSlot() *Labels }
+
+// Labels is the slot a tracked value embeds: a pointer to its labels,
+// allocated on first attach. A copy of the value shares them unless the
+// copy's slot is reset to the zero value.
+type Labels struct{ rec *labelRec }
+
+func (l *Labels) labelSlot() *Labels { return l }
+
+// labelRec holds a value's label sets, indexed by labelKind, and its
+// $invoke labeller. No attach path stores an empty set.
+type labelRec struct {
+	sets   [2]policy.LabelSet
+	invoke policy.LabelFunc
+}
+
+// labelKind selects a set: privacy labels (DataLabels) or integrity facts
+// (DataIntegrity).
+type labelKind uint8
+
+const (
+	confidentiality labelKind = iota
+	integrity
+)
+
+func (l *Labels) get(k labelKind) policy.LabelSet {
+	if l.rec == nil {
+		return nil
+	}
+	return l.rec.sets[k]
+}
+
+func (l *Labels) record() *labelRec {
+	if l.rec == nil {
+		l.rec = new(labelRec)
+	}
+	return l.rec
 }
 
 // Box wraps a value-type instance so it can be tracked. The runtime's
@@ -32,12 +68,16 @@ type Ref interface {
 // interpreter unwraps them at primitive-operation sites, the analogue of
 // the paper's JavaScript Proxy interception).
 type Box struct {
+	Labels
 	Val any
-	id  uint64
 }
 
-// RefID implements Ref.
-func (b *Box) RefID() uint64 { return b.id }
+// labelledBox is a box allocated together with its label record, so
+// labelling a primitive costs one allocation.
+type labelledBox struct {
+	Box
+	own labelRec
+}
 
 func (b *Box) String() string { return fmt.Sprintf("Box(%v)", b.Val) }
 
@@ -147,16 +187,14 @@ type Tracker struct {
 	OnViolation func(*Violation)
 
 	// FailClosed selects fail-closed mode: any internal tracker
-	// inconsistency — collect-depth overflow, label-table corruption, a
-	// recovered panic inside a tracker op — poisons the tracker, after
-	// which every sink check denies with reason "degraded" regardless of
-	// Enforce. Off (the default), the tracker still never drops labels
-	// silently (truncation joins policy.Top), but panics propagate to the
-	// stage boundary and audit mode keeps auditing.
+	// inconsistency — collect-depth overflow, a recovered panic inside a
+	// tracker op — poisons the tracker, after which every sink check
+	// denies with reason "degraded" regardless of Enforce. Off (the
+	// default), the tracker still never drops labels silently (truncation
+	// joins policy.Top), but panics propagate to the stage boundary and
+	// audit mode keeps auditing.
 	FailClosed bool
 
-	labels     map[uint64]policy.LabelSet
-	invokeFns  map[uint64]policy.LabelFunc
 	violations []*Violation
 	stats      Stats
 
@@ -175,12 +213,11 @@ type Tracker struct {
 	pcStack  []policy.LabelSet
 
 	// CNF extension (see declass.go). cnf gates every clause-aware code
-	// path and is derived from Policy.HasCNF at construction; integ is the
-	// per-value integrity fact table; props deepens collection over object
-	// properties when the adapter supports enumeration; pcInteg mirrors
-	// pcStack with the integrity meet of each scope's conditions.
+	// path and is derived from Policy.HasCNF at construction; props deepens
+	// collection over object properties when the adapter supports
+	// enumeration; pcInteg mirrors pcStack with the integrity meet of each
+	// scope's conditions.
 	cnf     bool
-	integ   map[uint64]policy.LabelSet
 	props   PropertyLister
 	pcInteg []policy.LabelSet
 }
@@ -255,26 +292,12 @@ func LabelStrings(ls policy.LabelSet) []string {
 	return out
 }
 
-// refIDCounter is the global identity counter shared by every Ref value:
-// boxes allocated here and reference values allocated by the runtime. A
-// single ID space keeps the tracker's label map collision-free.
-var refIDCounter uint64
-
-// NextRefID allocates a fresh identity for a reference-type runtime value.
-func NextRefID() uint64 { return atomic.AddUint64(&refIDCounter, 1) }
-
 // NewTracker creates a tracker bound to a policy and value adapter. A
 // policy carrying the CNF extension (exchange rules, declassifiers or
 // endorsements) switches the tracker onto the clause-aware paths; a flat
 // policy keeps every hot path identical to the pre-CNF tracker.
 func NewTracker(p *policy.Policy, adapter ValueAdapter) *Tracker {
-	t := &Tracker{
-		Policy:    p,
-		Adapter:   adapter,
-		labels:    make(map[uint64]policy.LabelSet),
-		invokeFns: make(map[uint64]policy.LabelFunc),
-		integ:     make(map[uint64]policy.LabelSet),
-	}
+	t := &Tracker{Policy: p, Adapter: adapter}
 	if p != nil && p.HasCNF() {
 		t.cnf = true
 		t.props, _ = adapter.(PropertyLister)
@@ -362,20 +385,6 @@ func (t *Tracker) RestorePoison(ps PoisonState) {
 	t.Poison(reason)
 }
 
-// VerifyLabelTable scans the label table for corruption (entries that
-// should have been elided). On inconsistency it poisons the tracker and
-// returns an error describing the first bad entry.
-func (t *Tracker) VerifyLabelTable() error {
-	for id, ls := range t.labels {
-		if ls.Empty() {
-			err := fmt.Errorf("dift: label table corrupt: ref %d has an empty label set", id)
-			t.Poison(err.Error())
-			return err
-		}
-	}
-	return nil
-}
-
 // denyDegraded records and returns the fail-closed denial for a sink
 // check against a poisoned tracker. It bypasses Enforce: fail-closed
 // means no flow is permitted once the tracker cannot vouch for its own
@@ -408,19 +417,18 @@ func (t *Tracker) recoverOp(op, site string, errp *error) {
 	}
 }
 
-// newBox wraps a value-type v.
-func (t *Tracker) newBox(v any) *Box {
+// countBox records one value-type wrapping.
+func (t *Tracker) countBox() {
 	t.stats.Boxed++
 	if h := t.tel; h != nil && h.box != nil {
 		h.box.Inc()
 	}
-	return &Box{Val: v, id: NextRefID()}
 }
 
 // LabelsOf returns the labels attached to v (nil when untracked).
 func (t *Tracker) LabelsOf(v any) policy.LabelSet {
 	if r, ok := v.(Ref); ok {
-		return t.labels[r.RefID()]
+		return r.labelSlot().get(confidentiality)
 	}
 	return nil
 }
@@ -431,25 +439,27 @@ func (t *Tracker) Attach(v any, ls policy.LabelSet) any {
 	if ls.Empty() {
 		return v
 	}
-	return t.attachOwned(t.labels, v, ls.Clone())
+	return t.attachOwned(confidentiality, v, ls.Clone())
 }
 
-// attachOwned binds a non-empty set the caller hands over to v in table:
-// the set is stored as is, with v's existing entries merged into it, so a
-// freshly collected union costs no further copy.
-func (t *Tracker) attachOwned(table map[uint64]policy.LabelSet, v any, ls policy.LabelSet) any {
+// attachOwned binds a non-empty set the caller hands over to v as its set
+// of kind k: the set is stored as is, with v's existing labels merged into
+// it, so a freshly collected union costs no further copy.
+func (t *Tracker) attachOwned(k labelKind, v any, ls policy.LabelSet) any {
 	if r, ok := v.(Ref); ok {
-		id := r.RefID()
-		for l := range table[id] {
+		rec := r.labelSlot().record()
+		for l := range rec.sets[k] {
 			ls[l] = struct{}{}
 		}
-		table[id] = ls
+		rec.sets[k] = ls
 		return v
 	}
 	if !t.Adapter.IsReference(v) {
-		b := t.newBox(v)
-		table[b.id] = ls
-		return b
+		t.countBox()
+		b := &labelledBox{Box: Box{Val: v}}
+		b.rec = &b.own
+		b.own.sets[k] = ls
+		return &b.Box
 	}
 	return v
 }
@@ -505,7 +515,7 @@ func (t *Tracker) applyLabeller(v any, l *policy.Labeller) (any, error) {
 		// attach a dynamic labeller to the function value; evaluated when
 		// the function is invoked (the mailer.sendMail case of Fig. 7).
 		if r, ok := v.(Ref); ok {
-			t.invokeFns[r.RefID()] = l.Invoke
+			r.labelSlot().record().invoke = l.Invoke
 			return v, nil
 		}
 		return v, fmt.Errorf("dift: $invoke labeller %q applied to non-reference value %T", l.Name, v)
@@ -563,7 +573,8 @@ func (t *Tracker) Track(v any) any {
 	if t.Adapter.IsReference(v) {
 		return v
 	}
-	return t.newBox(v)
+	t.countBox()
+	return &Box{Val: v}
 }
 
 // Derive implements label propagation for derived values (the binaryOp,
@@ -591,42 +602,42 @@ func (t *Tracker) Derive(result any, sources ...any) (out any) {
 	if t.cnf {
 		out = result
 		if !c.acc.Empty() {
-			out = t.attachOwned(t.labels, out, c.acc)
+			out = t.attachOwned(confidentiality, out, c.acc)
 		}
 		return t.deriveIntegrity(out, sources)
 	}
 	if c.acc.Empty() {
 		return result
 	}
-	return t.attachOwned(t.labels, result, c.acc)
+	return t.attachOwned(confidentiality, result, c.acc)
 }
 
 // DataLabels collects the labels of v and, for containers, of the values
 // reachable from it. Collection is cycle-safe. This is what a sink check
 // inspects: sending an object leaks everything reachable from it. The
-// result may be the tracker's own entry for v (a plain value's box): treat
-// it as read-only.
+// result may be the set stored on v (a plain value's box): treat it as
+// read-only.
 func (t *Tracker) DataLabels(v any) policy.LabelSet {
-	return t.collectFrom(t.labels, true, v)
+	return t.collectFrom(confidentiality, v)
 }
 
-// collectFrom runs one collection over table from root v. A plain value
+// collectFrom runs one collection of kind k from root v. A plain value
 // reaches nothing, and a box around one is a leaf: both answer straight
-// from the table without starting a walk.
-func (t *Tracker) collectFrom(table map[uint64]policy.LabelSet, top bool, v any) policy.LabelSet {
+// from the value without starting a walk.
+func (t *Tracker) collectFrom(k labelKind, v any) policy.LabelSet {
 	if b, ok := v.(*Box); ok && t.plain(b.Val) {
-		return table[b.id]
+		return b.get(k)
 	}
 	if t.plain(v) {
 		return nil
 	}
-	c := collector{t: t, table: table, top: top}
+	c := collector{t: t, kind: k}
 	c.walk(v, 0)
 	return c.acc
 }
 
 // plain reports whether v carries no identity of its own: it has no label
-// entry and, by the ValueAdapter contract, no elements or properties.
+// slot and, by the ValueAdapter contract, no elements or properties.
 func (t *Tracker) plain(v any) bool {
 	if _, isRef := v.(Ref); isRef {
 		return false
@@ -651,14 +662,13 @@ var topSet = policy.NewLabelSet(policy.Top)
 //     cycle. It skips the seen set, which is allocated only when the walk
 //     descends into a container reference.
 type collector struct {
-	t     *Tracker
-	table map[uint64]policy.LabelSet
-	// top selects the truncation polarity: the confidentiality walk joins
-	// ⊤ past the depth bound; the integrity walk just stops, because
-	// losing integrity facts is fail-safe.
-	top  bool
+	t *Tracker
+	// kind selects the set collected and the truncation polarity: the
+	// confidentiality walk joins ⊤ past the depth bound; the integrity
+	// walk just stops, because losing integrity facts is fail-safe.
+	kind labelKind
 	acc  policy.LabelSet
-	seen map[uint64]struct{}
+	seen map[*Labels]struct{}
 }
 
 // join adds ls to the accumulator in place.
@@ -704,7 +714,7 @@ func (c *collector) walk(v any, depth int) {
 		// This also covers the `seen` cycle guard: a revisit can only lose
 		// labels if the first visit truncated, and that truncation already
 		// joined ⊤.
-		if !c.top {
+		if c.kind != confidentiality {
 			return
 		}
 		if _, isRef := v.(Ref); !isRef {
@@ -720,23 +730,23 @@ func (c *collector) walk(v any, depth int) {
 	}
 	b, isBox := v.(*Box)
 	if isBox && t.plain(b.Val) {
-		c.join(c.table[b.id])
+		c.join(b.get(c.kind))
 		return
 	}
 	elems, isArr := t.Adapter.Elements(v)
 	if r, ok := v.(Ref); ok {
-		id := r.RefID()
+		l := r.labelSlot()
 		// only a reference the walk descends into can close a cycle
 		if isArr || isBox || t.props != nil {
-			if _, dup := c.seen[id]; dup {
+			if _, dup := c.seen[l]; dup {
 				return
 			}
 			if c.seen == nil {
-				c.seen = make(map[uint64]struct{})
+				c.seen = make(map[*Labels]struct{})
 			}
-			c.seen[id] = struct{}{}
+			c.seen[l] = struct{}{}
 		}
-		c.join(c.table[id])
+		c.join(l.get(c.kind))
 	}
 	if isArr {
 		for _, el := range elems {
@@ -824,12 +834,12 @@ func (t *Tracker) Check(data, recv any, site string) (err error) {
 func (t *Tracker) receiverLabels(recv any, args []any) policy.LabelSet {
 	ls := t.LabelsOf(recv)
 	if r, ok := recv.(Ref); ok {
-		if fn := t.invokeFns[r.RefID()]; fn != nil {
+		if rec := r.labelSlot().rec; rec != nil && rec.invoke != nil {
 			raw := make([]any, len(args))
 			for i, a := range args {
 				raw[i] = Unwrap(a)
 			}
-			if dyn, err := fn(Unwrap(recv), raw); err == nil {
+			if dyn, err := rec.invoke(Unwrap(recv), raw); err == nil {
 				ls = ls.Union(dyn)
 			}
 		}
@@ -859,7 +869,7 @@ func (t *Tracker) InvokeCheckTarget(fnVal, target any, args []any, site string) 
 		defer t.recoverOp("invoke", site, &err)
 	}
 	t.stats.Checks++
-	c := collector{t: t, table: t.labels, top: true}
+	c := collector{t: t}
 	for _, a := range args {
 		c.root(a)
 	}

@@ -12,20 +12,18 @@ import (
 // --- minimal reference-typed test runtime ---------------------------------
 
 type tObj struct {
-	id    uint64
+	Labels
 	props map[string]any
 }
 
-func newObj() *tObj           { return &tObj{id: NextRefID(), props: map[string]any{}} }
-func (o *tObj) RefID() uint64 { return o.id }
+func newObj() *tObj { return &tObj{props: map[string]any{}} }
 
 type tArr struct {
-	id    uint64
+	Labels
 	elems []any
 }
 
-func newArr(elems ...any) *tArr { return &tArr{id: NextRefID(), elems: elems} }
-func (a *tArr) RefID() uint64   { return a.id }
+func newArr(elems ...any) *tArr { return &tArr{elems: elems} }
 
 type tAdapter struct{}
 

@@ -179,7 +179,7 @@ func TestDerivePanicPoisonsFailClosed(t *testing.T) {
 	tr := tracker(t)
 	tr.FailClosed = true
 
-	out := tr.Derive("result", panicSource{}) // panics inside LabelsOf via RefID
+	out := tr.Derive("result", panicSource{}) // panics inside LabelsOf via its slot
 	if out != "result" {
 		t.Fatalf("derive panic mangled the result: %v", out)
 	}
@@ -191,27 +191,11 @@ func TestDerivePanicPoisonsFailClosed(t *testing.T) {
 	}
 }
 
-// panicSource implements Ref but detonates when its identity is read,
-// simulating label-table corruption mid-op.
+// panicSource implements Ref but detonates when its label slot is read,
+// simulating a corrupt value mid-op.
 type panicSource struct{}
 
-func (panicSource) RefID() uint64 { panic("corrupt ref") }
-
-// TestVerifyLabelTable: injected corruption (an empty label set, which
-// Attach never stores) is detected and poisons the tracker.
-func TestVerifyLabelTable(t *testing.T) {
-	tr := tracker(t, "Alpha -> Beta")
-	if err := tr.VerifyLabelTable(); err != nil {
-		t.Fatalf("healthy table reported corrupt: %v", err)
-	}
-	tr.labels[12345] = policy.LabelSet{} // corrupt: empty set stored
-	if err := tr.VerifyLabelTable(); err == nil {
-		t.Fatal("corrupt label table not detected")
-	}
-	if deg, reason := tr.Degraded(); !deg || !strings.Contains(reason, "label table corrupt") {
-		t.Fatalf("corruption did not poison: %v %q", deg, reason)
-	}
-}
+func (panicSource) labelSlot() *Labels { panic("corrupt ref") }
 
 // TestViolationReasonJSON: the audit-log form carries the reason.
 func TestViolationReasonJSON(t *testing.T) {

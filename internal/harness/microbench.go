@@ -6,17 +6,18 @@ import (
 	"strings"
 	"time"
 
+	"turnstile/internal/ast"
 	"turnstile/internal/interp"
 	"turnstile/internal/parser"
 	"turnstile/internal/resolve"
 )
 
-// Interpreter microbenchmarks comparing the slot-indexed environment fast
-// path against the map walk the resolver replaced (an unresolved program
-// on an interpreter with NoResolve set), and the bytecode VM against
-// both. Each workload is one MiniJS program stressing a single interpreter
-// dimension, so any delta is attributable to the environment
-// representation, the inline caches and the dispatch strategy alone.
+// Interpreter microbenchmarks comparing the bytecode VM, the slot-indexed
+// environment tree-walker and the map walk the resolver replaced (an
+// unresolved program on an interpreter with NoResolve set). Each workload
+// is one MiniJS program stressing a single interpreter dimension, so any
+// delta is attributable to the environment representation, the inline
+// caches and the dispatch strategy alone.
 
 // MicrobenchPrograms are the three workloads of the bench gate. The inner
 // iteration counts are sized so one run takes a few milliseconds on the
@@ -100,63 +101,18 @@ for (let r = 0; r < 30; r = r + 1) {
 	},
 }
 
-// MicrobenchResult is one workload's measurement on both execution modes.
-type MicrobenchResult struct {
-	Name string `json:"name"`
-	// SlotNs / MapNs are best-of-repeats wall times for one full program
-	// run on the resolved (slot) and NoResolve (map-walk) tree-walkers.
-	SlotNs int64 `json:"slot_ns"`
-	MapNs  int64 `json:"map_ns"`
-	// Speedup is MapNs / SlotNs (>1 means the slot path is faster).
-	Speedup float64 `json:"speedup"`
-}
-
-// MicrobenchReport aggregates a bench run into the committed
-// BENCH_*.json shape.
-type MicrobenchReport struct {
-	Tool       string             `json:"tool"`
-	Repeats    int                `json:"repeats"`
-	Benchmarks []MicrobenchResult `json:"benchmarks"`
-}
-
-// RunMicrobench measures every workload on both tree-walking execution
-// modes, best-of-repeats per mode. The VM is disabled on both sides: this
-// report isolates the environment representation (slot vs map-walk) and is
-// the committed BENCH_baseline.json; the VM comparison lives in
-// RunVMMicrobench / BENCH_vm.json.
-func RunMicrobench(repeats int) (*MicrobenchReport, error) {
-	if repeats <= 0 {
-		repeats = 5
-	}
-	rep := &MicrobenchReport{Tool: "turnstile-bench -bench", Repeats: repeats}
-	for _, p := range MicrobenchPrograms {
-		slot, err := benchProgram(p.Name, p.Source, interp.EngineWalker, false, repeats)
-		if err != nil {
-			return nil, err
-		}
-		mp, err := benchProgram(p.Name, p.Source, interp.EngineWalker, true, repeats)
-		if err != nil {
-			return nil, err
-		}
-		r := MicrobenchResult{Name: p.Name, SlotNs: slot.Nanoseconds(), MapNs: mp.Nanoseconds()}
-		if r.SlotNs > 0 {
-			r.Speedup = float64(r.MapNs) / float64(r.SlotNs)
-		}
-		rep.Benchmarks = append(rep.Benchmarks, r)
-	}
-	return rep, nil
-}
-
 // VMMicrobenchResult is one workload's measurement across the three
 // execution modes: bytecode VM, slot-env tree-walker and map-walk
-// tree-walker.
+// tree-walker. Times are best-of-repeats wall times for one full program
+// run.
 type VMMicrobenchResult struct {
 	Name   string `json:"name"`
 	VMNs   int64  `json:"vm_ns"`
 	SlotNs int64  `json:"slot_ns"`
 	MapNs  int64  `json:"map_ns"`
 	// SpeedupVsSlot is SlotNs / VMNs — the acceptance metric of the VM
-	// perf gate (>1 means the VM beats the slot-env tree-walker).
+	// perf gate (>1 means the VM beats the slot-env tree-walker). The
+	// resolver's gate reads MapNs / SlotNs.
 	SpeedupVsSlot float64 `json:"speedup_vs_slot"`
 	SpeedupVsMap  float64 `json:"speedup_vs_map"`
 }
@@ -170,26 +126,43 @@ type VMMicrobenchReport struct {
 }
 
 // RunVMMicrobench measures every workload on the bytecode VM and both
-// tree-walking modes, best-of-repeats per mode.
+// tree-walking modes, best-of-repeats per mode. Each repeat runs the three
+// modes back to back, so a slow stretch of the host lands on all of them
+// rather than on whichever mode it coincided with.
 func RunVMMicrobench(repeats int) (*VMMicrobenchReport, error) {
 	if repeats <= 0 {
 		repeats = 5
 	}
 	rep := &VMMicrobenchReport{Tool: "turnstile-bench -benchvm", Repeats: repeats}
 	for _, p := range MicrobenchPrograms {
-		vmT, err := benchProgram(p.Name, p.Source, interp.EngineVM, false, repeats)
+		resolved, err := parser.Parse(p.Name+".js", p.Source)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("harness: microbench %s: %w", p.Name, err)
 		}
-		slot, err := benchProgram(p.Name, p.Source, interp.EngineWalker, false, repeats)
-		if err != nil {
-			return nil, err
+		// the map walk runs a tree the resolver has not annotated
+		unresolved := parser.MustParse(p.Name+".js", p.Source)
+		resolve.Resolve(resolved)
+		r := VMMicrobenchResult{Name: p.Name}
+		for i := 0; i < repeats; i++ {
+			for _, m := range []struct {
+				engine    interp.Engine
+				noResolve bool
+				prog      *ast.Program
+				best      *int64
+			}{
+				{interp.EngineVM, false, resolved, &r.VMNs},
+				{interp.EngineWalker, false, resolved, &r.SlotNs},
+				{interp.EngineWalker, true, unresolved, &r.MapNs},
+			} {
+				d, err := runOnce(m.prog, m.engine, m.noResolve)
+				if err != nil {
+					return nil, fmt.Errorf("harness: microbench %s (%v, noresolve=%v): %w", p.Name, m.engine, m.noResolve, err)
+				}
+				if ns := d.Nanoseconds(); i == 0 || ns < *m.best {
+					*m.best = ns
+				}
+			}
 		}
-		mp, err := benchProgram(p.Name, p.Source, interp.EngineWalker, true, repeats)
-		if err != nil {
-			return nil, err
-		}
-		r := VMMicrobenchResult{Name: p.Name, VMNs: vmT.Nanoseconds(), SlotNs: slot.Nanoseconds(), MapNs: mp.Nanoseconds()}
 		if r.VMNs > 0 {
 			r.SpeedupVsSlot = float64(r.SlotNs) / float64(r.VMNs)
 			r.SpeedupVsMap = float64(r.MapNs) / float64(r.VMNs)
@@ -199,46 +172,18 @@ func RunVMMicrobench(repeats int) (*VMMicrobenchReport, error) {
 	return rep, nil
 }
 
-// benchProgram parses (and, unless noResolve, resolves) one workload and
-// returns the best-of-repeats wall time of a full run on a fresh
-// interpreter on the requested engine. The AST is shared across
-// repeats — exactly how the pipeline cache shares programs — so parse
-// cost is excluded; bytecode compilation happens once on the first VM
-// repeat and is shared through the interpreter's program-module table
-// only within a repeat (each repeat gets a fresh interpreter, so compile
-// cost is included in every VM sample, biasing against the VM).
-func benchProgram(name, src string, engine interp.Engine, noResolve bool, repeats int) (time.Duration, error) {
-	prog, err := parser.Parse(name+".js", src)
-	if err != nil {
-		return 0, fmt.Errorf("harness: microbench %s: %w", name, err)
-	}
-	if !noResolve {
-		resolve.Resolve(prog)
-	}
-	best := time.Duration(0)
-	for r := 0; r < repeats; r++ {
-		ip := interp.New()
-		ip.Engine = engine
-		ip.NoResolve = noResolve
-		start := time.Now()
-		if err := ip.Run(prog); err != nil {
-			return 0, fmt.Errorf("harness: microbench %s (%v, noresolve=%v): %w", name, engine, noResolve, err)
-		}
-		if d := time.Since(start); r == 0 || d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
-// ExportMicrobenchJSON renders the report as the committed BENCH_*.json
-// artifact (indented, trailing newline).
-func ExportMicrobenchJSON(rep *MicrobenchReport) ([]byte, error) {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+// runOnce times one full run of prog on a fresh interpreter. The AST is
+// shared across repeats — exactly how the pipeline cache shares
+// programs — so parse cost is excluded; each fresh VM interpreter
+// compiles the program again, so compile cost is in every VM sample,
+// biasing against the VM.
+func runOnce(prog *ast.Program, engine interp.Engine, noResolve bool) (time.Duration, error) {
+	ip := interp.New()
+	ip.Engine = engine
+	ip.NoResolve = noResolve
+	start := time.Now()
+	err := ip.Run(prog)
+	return time.Since(start), err
 }
 
 // ExportVMMicrobenchJSON renders the VM report as the committed
@@ -251,23 +196,9 @@ func ExportVMMicrobenchJSON(rep *VMMicrobenchReport) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// RenderMicrobench formats the bench table for the CLI. Wall times vary
-// run to run, so unlike the experiment reports this output is NOT
+// RenderVMMicrobench formats the VM bench table for the CLI. Wall times
+// vary run to run, so unlike the experiment reports this output is NOT
 // byte-deterministic.
-func RenderMicrobench(rep *MicrobenchReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Interpreter microbenchmarks: slot env vs map-walk env (best of %d)\n", rep.Repeats)
-	fmt.Fprintf(&b, "%-18s %12s %12s %9s\n", "workload", "slot", "map-walk", "speedup")
-	for _, r := range rep.Benchmarks {
-		fmt.Fprintf(&b, "%-18s %12v %12v %8.2fx\n",
-			r.Name, time.Duration(r.SlotNs).Round(time.Microsecond),
-			time.Duration(r.MapNs).Round(time.Microsecond), r.Speedup)
-	}
-	return b.String()
-}
-
-// RenderVMMicrobench formats the VM bench table for the CLI. Like
-// RenderMicrobench, it is NOT byte-deterministic.
 func RenderVMMicrobench(rep *VMMicrobenchReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Interpreter microbenchmarks: bytecode VM vs tree-walkers (best of %d)\n", rep.Repeats)

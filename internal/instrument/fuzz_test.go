@@ -355,6 +355,51 @@ func deployChecked(t *testing.T, mode Mode, src string, in *ast.Program, res *Re
 	return deployed
 }
 
+// TestBareBodyVarSurvivesInstrumentation: MiniJS scopes a var to its
+// block, so a var declared in a bare if or else body is visible after the
+// statement only while the body stays bare. Deployed after selective or
+// exhaustive instrumentation, both programs print what the original
+// prints, on both engines.
+func TestBareBodyVarSurvivesInstrumentation(t *testing.T) {
+	for _, src := range []string{
+		"var c = true;\nif (c) var x = 5;\nconsole.log(x);",
+		"var c = false;\nif (c) console.log(\"then\"); else var y = 6;\nconsole.log(y);",
+	} {
+		for _, engine := range interp.Engines {
+			run := func(mode *Mode) string {
+				prog := parser.MustParse("bare.js", src)
+				ip := interp.New()
+				ip.Engine = engine
+				if mode != nil {
+					analysis := taint.Analyze([]taint.File{{Name: "bare.js", Prog: prog}}, taint.DefaultOptions())
+					res, err := Instrument(prog, Options{Mode: *mode, Selection: Selection(analysis.SelectionFor("bare.js"))})
+					if err != nil {
+						t.Fatal(err)
+					}
+					prog = deployChecked(t, *mode, src, prog, res)
+					pol, err := policy.ParseJSON([]byte(`{"rules":[]}`), ip.CompileLabelFunc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ip.InstallTracker(pol)
+				} else {
+					resolve.Resolve(prog)
+				}
+				if err := ip.Run(prog); err != nil {
+					t.Fatalf("%v %v: %v\nsource: %q", engine, mode, err, src)
+				}
+				return strings.Join(ip.ConsoleOut, "\n")
+			}
+			want := run(nil)
+			for _, mode := range []Mode{Selective, Exhaustive} {
+				if got := run(&mode); got != want {
+					t.Fatalf("%v %v: output %q, original %q\nsource: %q", engine, mode, got, want, src)
+				}
+			}
+		}
+	}
+}
+
 // sharedNodes counts the nodes of out that are reachable from in.
 func sharedNodes(in, out ast.Node) int {
 	seen := make(map[ast.Node]bool)

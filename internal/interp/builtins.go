@@ -116,7 +116,7 @@ func (ip *Interp) installGlobals() {
 		if len(args) == 0 {
 			return "undefined", nil
 		}
-		return jsonStringify(args[0], make(map[uint64]bool)), nil
+		return jsonStringify(args[0], make(map[Value]bool)), nil
 	}))
 	jsonObj.Set("parse", NewHostFunc("parse", func(ip *Interp, this Value, args []Value) (Value, error) {
 		if len(args) == 0 {
@@ -535,7 +535,7 @@ func isBaseDigit(c byte, base int) bool {
 // ---------------------------------------------------------------------------
 // JSON
 
-func jsonStringify(v Value, seen map[uint64]bool) string {
+func jsonStringify(v Value, seen map[Value]bool) string {
 	v = dift.Unwrap(v)
 	switch x := v.(type) {
 	case Undefined:
@@ -555,22 +555,22 @@ func jsonStringify(v Value, seen map[uint64]bool) string {
 	case string:
 		return strconv.Quote(x)
 	case *Array:
-		if seen[x.id] {
+		if seen[x] {
 			return "null"
 		}
-		seen[x.id] = true
-		defer delete(seen, x.id)
+		seen[x] = true
+		defer delete(seen, x)
 		parts := make([]string, len(x.Elems))
 		for i, el := range x.Elems {
 			parts[i] = jsonStringify(el, seen)
 		}
 		return "[" + strings.Join(parts, ",") + "]"
 	case *Object:
-		if seen[x.id] {
+		if seen[x] {
 			return "null"
 		}
-		seen[x.id] = true
-		defer delete(seen, x.id)
+		seen[x] = true
+		defer delete(seen, x)
 		keys := x.Keys()
 		sort.Strings(keys)
 		var parts []string

@@ -116,7 +116,7 @@ func (ip *Interp) CallMethod(recv Value, name string, args []Value, pos ast.Pos)
 				this = args[0]
 			}
 			bound := *r
-			bound.id = dift.NextRefID()
+			bound.Labels = dift.Labels{}
 			bound.This = this
 			return &bound, nil
 		}
@@ -134,7 +134,13 @@ func (ip *Interp) CallMethod(recv Value, name string, args []Value, pos ast.Pos)
 }
 
 // CallFunction invokes a callable value with an explicit this binding.
+// Called from outside any execution (a nodered delivery, a label
+// function), it is a host entry of its own.
 func (ip *Interp) CallFunction(fn Value, this Value, args []Value, pos ast.Pos) (Value, error) {
+	if ip.entries == 0 {
+		ip.enter()
+		defer ip.exit()
+	}
 	switch f := dift.Unwrap(fn).(type) {
 	case *Function:
 		if f.IsClass {
@@ -209,7 +215,7 @@ func (ip *Interp) invokeBody(decl *ast.FuncLit, code *vm.Chunk, closure *Env, th
 		// resolver slot layout: non-arrow scopes place this/arguments at
 		// slots 0 and 1; DefineSlot falls back for unresolved programs
 		if !env.DefineSlot(0, this, false) {
-			env.Define("this", this, false)
+			ip.defineMap(env, "this", this, false)
 		}
 		// the arguments array is only materialized when the compiler saw
 		// an `arguments` identifier somewhere in the body (tree-walked
@@ -217,7 +223,7 @@ func (ip *Interp) invokeBody(decl *ast.FuncLit, code *vm.Chunk, closure *Env, th
 		if !vmBody || code.NeedsArguments {
 			argsArr := NewArray(args...)
 			if !env.DefineSlot(1, argsArr, false) {
-				env.Define("arguments", argsArr, false)
+				ip.defineMap(env, "arguments", argsArr, false)
 			}
 		}
 	}
@@ -236,7 +242,7 @@ func (ip *Interp) invokeBody(decl *ast.FuncLit, code *vm.Chunk, closure *Env, th
 			v = undef
 		}
 		if p.Ref == nil || !env.DefineSlot(p.Ref.Slot, v, false) {
-			env.Define(p.Name, v, false)
+			ip.defineMap(env, p.Name, v, false)
 		}
 	}
 	if vmBody {
@@ -347,7 +353,7 @@ func (ip *Interp) GetMember(obj Value, name string, pos ast.Pos) (Value, error) 
 			if f, isFn := v.(*Function); isFn && f.This == nil {
 				if _, own := o.GetOwn(name); !own {
 					bound := *f
-					bound.id = dift.NextRefID()
+					bound.Labels = dift.Labels{}
 					bound.This = o
 					return &bound, nil
 				}

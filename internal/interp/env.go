@@ -3,21 +3,9 @@ package interp
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"turnstile/internal/ast"
 )
-
-// envMapDefines counts map-based (dynamic) variable definitions across
-// all environments in the process. The VM's dynamic-global identifier
-// cache (exec_vm.go) snapshots it at fill time: as long as no environment
-// anywhere has gained a map binding, a name that previously resolved to
-// the Globals map cannot have acquired a nearer provider — slot layouts
-// are static, map bindings are never deleted, and IterCopy only copies
-// bindings that already shadowed Globals at fill time. Atomic because
-// independent interpreters run concurrently (serve workers, -parallel
-// harness runs); cross-interpreter bumps only cost a cache refill.
-var envMapDefines atomic.Uint64
 
 // ErrNotDefined reports assignment to an undeclared name; sloppy-mode code
 // handles it by creating an implicit global.
@@ -68,7 +56,9 @@ func NewScopeEnv(parent *Env, scope *ast.ScopeInfo) *Env {
 	return e
 }
 
-// Define declares a variable in this scope.
+// Define declares a variable in this scope. The interpreter defines into
+// a non-global scope through Interp.defineMap, which keeps its
+// dynamic-global cache valid.
 func (e *Env) Define(name string, v Value, isConst bool) {
 	if e.scope != nil {
 		if i, ok := e.scope.Slot(name); ok {
@@ -79,7 +69,6 @@ func (e *Env) Define(name string, v Value, isConst bool) {
 	if e.vars == nil {
 		e.vars = make(map[string]Value)
 	}
-	envMapDefines.Add(1)
 	e.vars[name] = v
 	if isConst {
 		if e.consts == nil {

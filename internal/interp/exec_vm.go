@@ -16,11 +16,11 @@ import (
 // corresponding tree-walker case and either calls the same helpers
 // (defineVar, icRead/icMethod, GetMember, SetMember, CallFunction,
 // CallMethod, BinaryOp, eval, execStmt) or inlines their exact bodies
-// (ident slot read/write), so the two engines share semantics, charge
-// accounting and RefID allocation order by construction. The win is
-// structural: no recursive eval dispatch, no per-node interface switch,
-// variables via (depth, slot) environments, tracker calls fused into one
-// opcode, and an unboxed float lane for arithmetic temporaries.
+// (ident slot read/write), so the two engines share semantics and charge
+// accounting by construction. The win is structural: no recursive eval
+// dispatch, no per-node interface switch, variables via (depth, slot)
+// environments, tracker calls fused into one opcode, and an unboxed float
+// lane for arithmetic temporaries.
 
 // RegisterCode makes a compiled module's function chunks available for
 // closure creation and call dispatch on this interpreter.
@@ -301,7 +301,7 @@ func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value
 			// Far from the budget ceiling and unguarded, the whole batch is
 			// one add; otherwise fall back to per-position step so the trip
 			// surfaces at the exact node the tree-walker would report.
-			if ip.Guard == nil && ip.steps+int64(in.CN) <= ip.MaxSteps {
+			if ip.Guard == nil && ip.steps-ip.stepBase+int64(in.CN) <= ip.MaxSteps {
 				ip.steps += int64(in.CN)
 			} else {
 				for _, p := range ch.Charges[in.CIdx : in.CIdx+in.CN] {
@@ -357,7 +357,7 @@ func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value
 			// program scope is deliberately dynamic); see identIC
 			if nid := id.NodeID(); nid >= 0 && nid < len(ip.identICs) {
 				e := &ip.identICs[nid]
-				if e.node == id && e.epoch == ip.icEpoch && e.dyn == envMapDefines.Load() {
+				if e.node == id && e.epoch == ip.icEpoch && e.dyn == ip.envMapDefines {
 					if v, ok := ip.Globals.vars[id.Name]; ok {
 						regs[in.A], ftag[in.A] = v, false
 						continue
@@ -368,7 +368,7 @@ func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value
 					return ctrlNormal, nil, &RuntimeError{Msg: fmt.Sprintf("%q is not defined", id.Name), Pos: id.Pos()}
 				}
 				if owner == ip.Globals {
-					*e = identIC{node: id, epoch: ip.icEpoch, dyn: envMapDefines.Load()}
+					*e = identIC{node: id, epoch: ip.icEpoch, dyn: ip.envMapDefines}
 				}
 				regs[in.A], ftag[in.A] = v, false
 				continue

@@ -151,6 +151,8 @@ func (ip *Interp) faultError(d faults.Decision, module, op string) *Object {
 // an earlier one fails — one bad callback must not starve its siblings —
 // and the collected errors are returned joined.
 func (ip *Interp) Emit(obj *Object, event string, args ...Value) error {
+	ip.enter()
+	defer ip.exit()
 	var errs []error
 	for _, cb := range obj.Listeners[event] {
 		if _, err := ip.CallFunction(cb, obj, args, ast.Pos{}); err != nil {

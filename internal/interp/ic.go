@@ -19,9 +19,9 @@ import (
 // Caching is restricted to cases where the uncached path performs no
 // observable side effect: own properties of plain *Object receivers, and
 // for call sites one-hop prototype hits. Reads that would clone a bound
-// method (GetMember on a non-own *Function) allocate a fresh RefID and
-// are never cached, keeping RefID allocation order — and therefore sink
-// traces — identical with and without the caches.
+// method (GetMember on a non-own *Function) are never cached: each read
+// must yield a fresh copy with empty labels, so labelling one extracted
+// method cannot label the next.
 
 // icEntry is one call site's cache line.
 type icEntry struct {
@@ -37,15 +37,16 @@ type icEntry struct {
 
 // identIC is one OpIdent site's dynamic-global lookup cache line. A
 // valid entry asserts: the last full chain walk for this identifier
-// resolved to the Globals vars map, and envMapDefines has not moved
-// since, so no environment anywhere can have gained a nearer map
-// binding — the current value is whatever Globals holds now (in-place
-// assignments stay visible; map bindings are never deleted). The VM
-// then skips the walk and its per-scope slot-layout probes.
+// resolved to the Globals vars map, and the interpreter's envMapDefines
+// has not moved since, so no environment of this interpreter can have
+// gained a nearer map binding — the current value is whatever Globals
+// holds now (in-place assignments stay visible; map bindings are never
+// deleted). The VM then skips the walk and its per-scope slot-layout
+// probes.
 type identIC struct {
 	node  *ast.Ident
 	epoch uint64 // ip.icEpoch at fill time
-	dyn   uint64 // envMapDefines at fill time
+	dyn   uint64 // ip.envMapDefines at fill time
 }
 
 // ensureICs sizes the cache tables for a program's node-ID space. Tables

@@ -63,7 +63,8 @@ type Interp struct {
 	Tracker *dift.Tracker
 	// ConsoleOut collects console.log lines.
 	ConsoleOut []string
-	// MaxSteps bounds evaluation steps to catch runaway programs.
+	// MaxSteps bounds the evaluation steps of one host entry (a Run, an
+	// Emit, a host call into MiniJS) to catch runaway programs; see enter.
 	MaxSteps int64
 	// Clock is the virtual time source: injected delays, retry backoff and
 	// setTimeout deferrals advance it instead of sleeping, so temporal
@@ -99,6 +100,8 @@ type Interp struct {
 	NoResolve bool
 
 	steps       int64
+	stepBase    int64 // steps when the outermost host entry began
+	entries     int   // host entries in progress
 	callDepth   int
 	modules     map[string]Value
 	localLoader func(name string) (Value, bool, error)
@@ -117,6 +120,16 @@ type Interp struct {
 	// the executed program changes.
 	icEpoch  uint64
 	lastProg *ast.Program
+
+	// envMapDefines counts the defines into a non-global environment that
+	// may have gone to its vars map (see defineMap). The VM's
+	// dynamic-global identifier cache (exec_vm.go) snapshots it at fill
+	// time: while it holds still, a name that resolved to the Globals map
+	// cannot have acquired a nearer provider — slot layouts are static,
+	// map bindings are never deleted, IterCopy only copies bindings that
+	// already shadowed Globals at fill time, and a new Globals binding
+	// cannot shadow one the cache resolved to Globals.
+	envMapDefines uint64
 
 	// bytecode VM state: compiled modules per program and the function
 	// chunk registry used to attach Code to closures (see exec_vm.go)
@@ -198,7 +211,7 @@ const DefaultMaxCallDepth = 20_000
 // installed, against its fuel/deadline budgets.
 func (ip *Interp) step(pos ast.Pos) error {
 	ip.steps++
-	if ip.steps > ip.MaxSteps {
+	if ip.steps-ip.stepBase > ip.MaxSteps {
 		return &RuntimeError{Msg: "step budget exceeded (possible infinite loop)", Pos: pos}
 	}
 	if ip.Guard != nil {
@@ -255,9 +268,25 @@ func (ip *Interp) SetGuard(g *guard.Guard) {
 // Steps returns the number of evaluation steps consumed so far.
 func (ip *Interp) Steps() int64 { return ip.steps }
 
+// enter opens a host entry into MiniJS. The outermost one re-arms the step
+// budget, so a long-lived interpreter is bounded per message rather than
+// per lifetime; nested entries (emitter.emit re-entering Emit, a require
+// running a module) share it, so a handler that re-emits forever still
+// trips. Every enter is paired with a deferred exit.
+func (ip *Interp) enter() {
+	if ip.entries == 0 {
+		ip.stepBase = ip.steps
+	}
+	ip.entries++
+}
+
+func (ip *Interp) exit() { ip.entries-- }
+
 // Run parses nothing — it executes an already-parsed program in the global
 // scope.
 func (ip *Interp) Run(prog *ast.Program) error {
+	ip.enter()
+	defer ip.exit()
 	if !ip.NoResolve {
 		ip.ensureICs(prog.MaxID)
 	}
@@ -575,7 +604,6 @@ func (ip *Interp) execStmt(s ast.Stmt, env *Env) (ctrlKind, Value, error) {
 
 func (ip *Interp) makeClass(x *ast.ClassDecl, env *Env) *Function {
 	fn := &Function{
-		id:      dift.NextRefID(),
 		Name:    x.Name,
 		Env:     env,
 		IsClass: true,
@@ -1028,6 +1056,15 @@ func (ip *Interp) defineVar(env *Env, name string, ref *ast.VarRef, v Value, isC
 		return
 	}
 	ip.envDynWrites++
+	ip.defineMap(env, name, v, isConst)
+}
+
+// defineMap is env.Define for a name with no resolved slot; outside
+// Globals it moves envMapDefines.
+func (ip *Interp) defineMap(env *Env, name string, v Value, isConst bool) {
+	if env != ip.Globals {
+		ip.envMapDefines++
+	}
 	env.Define(name, v, isConst)
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"turnstile/internal/parser"
+	"turnstile/internal/resolve"
 )
 
 // run executes src in a fresh interpreter and returns it.
@@ -412,6 +413,46 @@ func TestStepBudget(t *testing.T) {
 	err := ip.Run(prog)
 	if err == nil || !strings.Contains(err.Error(), "step budget") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestStepBudgetPerEntry: MaxSteps bounds one host entry, not the
+// interpreter's lifetime. With a budget of about three messages, twenty
+// messages all run, while an unbounded loop inside one message and a
+// handler that re-emits to itself forever both still trip.
+func TestStepBudgetPerEntry(t *testing.T) {
+	for _, engine := range Engines {
+		ip := New()
+		ip.Engine = engine
+		src := ip.newEmitter("Test")
+		ip.Globals.Define("src", src, false)
+		prog := parser.MustParse("t.js", `
+src.on("data", function (n) { let s = 0; for (let i = 0; i < 50; i++) { s = s + i * n; } });
+src.on("spin", function () { while (true) { } });
+src.on("again", function () { src.emit("again"); });
+`)
+		resolve.Resolve(prog)
+		if err := ip.Run(prog); err != nil {
+			t.Fatal(err)
+		}
+		before := ip.Steps()
+		if err := ip.Emit(src, "data", 1.0); err != nil {
+			t.Fatal(err)
+		}
+		ip.MaxSteps = 3 * (ip.Steps() - before)
+		for i := 0; i < 20; i++ {
+			if err := ip.Emit(src, "data", float64(i)); err != nil {
+				t.Fatalf("%v: message %d: %v", engine, i, err)
+			}
+		}
+		if ip.Steps() <= ip.MaxSteps {
+			t.Fatalf("%v: Steps() = %d is not cumulative", engine, ip.Steps())
+		}
+		for _, ev := range []string{"spin", "again"} {
+			if err := ip.Emit(src, ev); err == nil || !strings.Contains(err.Error(), "step budget") {
+				t.Fatalf("%v: %s: err = %v", engine, ev, err)
+			}
+		}
 	}
 }
 

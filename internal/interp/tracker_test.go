@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"turnstile/internal/dift"
 	"turnstile/internal/parser"
 	"turnstile/internal/policy"
 )
@@ -256,7 +257,7 @@ fs.writeFileSync("/out", secret);
 	if len(w) != 1 {
 		t.Fatalf("writes = %+v", w)
 	}
-	if _, boxed := w[0].Value.(interface{ RefID() uint64 }); boxed {
+	if _, boxed := w[0].Value.(dift.Ref); boxed {
 		t.Fatalf("sink write still wrapped: %#v", w[0].Value)
 	}
 	if w[0].Value != "top-secret" {

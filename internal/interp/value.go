@@ -45,7 +45,7 @@ var (
 // Object is a MiniJS object. Property insertion order is preserved for
 // deterministic iteration and printing.
 type Object struct {
-	id    uint64
+	dift.Labels
 	props map[string]Value
 	keys  []string
 	// version counts every property write or delete; shape counts only
@@ -68,11 +68,8 @@ type Object struct {
 
 // NewObject allocates an empty object.
 func NewObject() *Object {
-	return &Object{id: dift.NextRefID(), props: make(map[string]Value), Class: "Object"}
+	return &Object{props: make(map[string]Value), Class: "Object"}
 }
-
-// RefID implements dift.Ref.
-func (o *Object) RefID() uint64 { return o.id }
 
 // Get returns the named property, consulting the prototype chain.
 func (o *Object) Get(name string) (Value, bool) {
@@ -128,21 +125,18 @@ func (o *Object) Len() int { return len(o.props) }
 
 // Array is a MiniJS array.
 type Array struct {
-	id    uint64
+	dift.Labels
 	Elems []Value
 }
 
 // NewArray allocates an array with the given elements.
 func NewArray(elems ...Value) *Array {
-	return &Array{id: dift.NextRefID(), Elems: elems}
+	return &Array{Elems: elems}
 }
-
-// RefID implements dift.Ref.
-func (a *Array) RefID() uint64 { return a.id }
 
 // Function is a user-defined MiniJS function or class.
 type Function struct {
-	id   uint64
+	dift.Labels
 	Name string
 	Decl *ast.FuncLit
 	Env  *Env
@@ -164,11 +158,8 @@ type Function struct {
 
 // NewFunction wraps a function literal closing over env.
 func NewFunction(name string, decl *ast.FuncLit, env *Env) *Function {
-	return &Function{id: dift.NextRefID(), Name: name, Decl: decl, Env: env}
+	return &Function{Name: name, Decl: decl, Env: env}
 }
-
-// RefID implements dift.Ref.
-func (f *Function) RefID() uint64 { return f.id }
 
 // Get returns a property of the function object (e.g. "prototype").
 func (f *Function) Get(name string) (Value, bool) {
@@ -203,7 +194,7 @@ func (f *Function) Prototype() *Object {
 // HostFunc is a builtin function implemented in Go. Like user functions it
 // can carry properties (Promise.resolve, Date.now, ...).
 type HostFunc struct {
-	id    uint64
+	dift.Labels
 	Name  string
 	Fn    func(ip *Interp, this Value, args []Value) (Value, error)
 	props map[string]Value
@@ -228,11 +219,8 @@ func (h *HostFunc) Set(name string, v Value) {
 
 // NewHostFunc wraps a Go function as a MiniJS callable.
 func NewHostFunc(name string, fn func(ip *Interp, this Value, args []Value) (Value, error)) *HostFunc {
-	return &HostFunc{id: dift.NextRefID(), Name: name, Fn: fn}
+	return &HostFunc{Name: name, Fn: fn}
 }
-
-// RefID implements dift.Ref.
-func (h *HostFunc) RefID() uint64 { return h.id }
 
 // ---------------------------------------------------------------------------
 // Conversions and predicates (ECMAScript-lite semantics)
@@ -417,10 +405,10 @@ func LooseEquals(a, b Value) bool {
 // Inspect renders v for console.log: strings unquoted at top level,
 // objects/arrays in literal-ish form.
 func Inspect(v Value) string {
-	return inspect(v, make(map[uint64]bool), true)
+	return inspect(v, make(map[Value]bool), true)
 }
 
-func inspect(v Value, seen map[uint64]bool, top bool) string {
+func inspect(v Value, seen map[Value]bool, top bool) string {
 	v = dift.Unwrap(v)
 	switch x := v.(type) {
 	case string:
@@ -429,22 +417,22 @@ func inspect(v Value, seen map[uint64]bool, top bool) string {
 		}
 		return "'" + x + "'"
 	case *Array:
-		if seen[x.id] {
+		if seen[x] {
 			return "[Circular]"
 		}
-		seen[x.id] = true
-		defer delete(seen, x.id)
+		seen[x] = true
+		defer delete(seen, x)
 		parts := make([]string, len(x.Elems))
 		for i, el := range x.Elems {
 			parts[i] = inspect(el, seen, false)
 		}
 		return "[ " + strings.Join(parts, ", ") + " ]"
 	case *Object:
-		if seen[x.id] {
+		if seen[x] {
 			return "[Circular]"
 		}
-		seen[x.id] = true
-		defer delete(seen, x.id)
+		seen[x] = true
+		defer delete(seen, x)
 		keys := x.Keys()
 		parts := make([]string, 0, len(keys))
 		for _, k := range keys {

@@ -429,3 +429,60 @@ func TestVMBudgetParity(t *testing.T) {
 		t.Fatalf("budget divergence: vm (%d, %q) vs walker (%d, %q)", vmSteps, vmErr, wkSteps, wkErr)
 	}
 }
+
+// TestIdentCachePerInterpreter: the dynamic-global cache is invalidated
+// by map-based defines of its own interpreter only. Another interpreter's
+// defines leave a filled entry valid; an inner map binding that shadows
+// the cached global retires it.
+func TestIdentCachePerInterpreter(t *testing.T) {
+	prog, err := parser.Parse("g.js", `var g = "global"; function read() { return g; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve.Resolve(prog)
+	ip := New()
+	if err := ip.Run(prog); err != nil {
+		t.Fatal(err)
+	}
+	fnV, _ := ip.Globals.Lookup("read")
+	read := fnV.(*Function)
+	// read's closure sits under a map scope between it and Globals
+	inner := NewEnv(ip.Globals)
+	shadowable := &Function{Name: "read", Decl: read.Decl, Code: read.Code, Env: inner}
+	call := func() Value {
+		v, err := ip.CallFunction(shadowable, undef, nil, ast.Pos{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	if v := call(); v != "global" {
+		t.Fatalf("read() = %v", v)
+	}
+	valid := func() bool {
+		for _, e := range ip.identICs {
+			if e.node != nil && e.node.Name == "g" {
+				return e.epoch == ip.icEpoch && e.dyn == ip.envMapDefines
+			}
+		}
+		t.Fatal("no cache entry for g")
+		return false
+	}
+	if !valid() {
+		t.Fatal("cache entry for g not filled")
+	}
+	other := New()
+	for i := 0; i < 3; i++ {
+		other.defineMap(NewEnv(other.Globals), "g", float64(i), false)
+	}
+	if !valid() {
+		t.Fatal("another interpreter's defines invalidated the cache")
+	}
+	ip.defineMap(inner, "g", "shadow", false)
+	if valid() {
+		t.Fatal("a shadowing map binding left the cache entry valid")
+	}
+	if v := call(); v != "shadow" {
+		t.Fatalf("read() after shadowing = %v", v)
+	}
+}

@@ -58,8 +58,8 @@ func SafePrint(prog *ast.Program) (string, error) {
 //   - every node's position becomes the one the parser gives it in the
 //     text (a node anchored at its first token gets that token's
 //     position, an operator or suffix node its leftmost operand's);
-//   - every bare loop or branch body, which the text braces, is wrapped
-//     in the block the parser reads back, with a fresh ID below the new
+//   - a then-branch the text must brace (see danglesElse) is wrapped in
+//     the block the parser reads back, with a fresh ID below the new
 //     prog.MaxID;
 //   - a function name the text cannot carry (arrows, methods keyed by a
 //     string) is dropped, and a class method's function takes the
@@ -218,8 +218,8 @@ func (p *printer) stmt(s ast.Stmt, indent int) {
 		if x.Post != nil {
 			p.expr(x.Post, 0)
 		}
-		p.b.WriteString(") ")
-		p.nestedBody(&x.Body, indent)
+		p.b.WriteString(")")
+		p.body(&x.Body, indent, false, "")
 	case *ast.ForInStmt:
 		p.mark(&x.NodeInfo)
 		p.b.WriteString("for (")
@@ -234,19 +234,18 @@ func (p *printer) stmt(s ast.Stmt, indent int) {
 			p.b.WriteString(" of ")
 		}
 		p.expr(x.Object, 0)
-		p.b.WriteString(") ")
-		p.nestedBody(&x.Body, indent)
+		p.b.WriteString(")")
+		p.body(&x.Body, indent, false, "")
 	case *ast.WhileStmt:
 		p.mark(&x.NodeInfo)
 		p.b.WriteString("while (")
 		p.expr(x.Cond, 0)
-		p.b.WriteString(") ")
-		p.nestedBody(&x.Body, indent)
+		p.b.WriteString(")")
+		p.body(&x.Body, indent, false, "")
 	case *ast.DoWhileStmt:
 		p.mark(&x.NodeInfo)
-		p.b.WriteString("do ")
-		p.nestedBodyNoNL(&x.Body, indent)
-		p.b.WriteString(" while (")
+		p.b.WriteString("do")
+		p.body(&x.Body, indent, false, "while (")
 		p.expr(x.Cond, 0)
 		p.b.WriteString(");\n")
 	case *ast.BlockStmt:
@@ -348,30 +347,54 @@ func (p *printer) ifChain(x *ast.IfStmt, indent int) {
 	p.mark(&x.NodeInfo)
 	p.b.WriteString("if (")
 	p.expr(x.Cond, 0)
-	p.b.WriteString(") ")
-	p.nestedBodyNoNL(&x.Then, indent)
-	if x.Else != nil {
-		p.b.WriteString(" else ")
-		if ei, ok := x.Else.(*ast.IfStmt); ok {
-			p.ifChain(ei, indent)
-			return
-		}
-		p.nestedBodyNoNL(&x.Else, indent)
+	p.b.WriteString(")")
+	if x.Else == nil {
+		p.body(&x.Then, indent, false, "")
+		return
 	}
-	p.b.WriteString("\n")
+	p.body(&x.Then, indent, danglesElse(x.Then), "else")
+	if ei, ok := x.Else.(*ast.IfStmt); ok {
+		p.b.WriteString(" ")
+		p.ifChain(ei, indent)
+		return
+	}
+	p.body(&x.Else, indent, false, "")
 }
 
-// nestedBody prints a loop/conditional body followed by a newline.
-func (p *printer) nestedBody(s *ast.Stmt, indent int) {
-	p.nestedBodyNoNL(s, indent)
-	p.b.WriteString("\n")
+// danglesElse reports whether s, printed bare, ends in an if without an
+// else, which would take an else printed after s. The parser never builds
+// such a then-branch.
+func danglesElse(s ast.Stmt) bool {
+	switch x := s.(type) {
+	case *ast.IfStmt:
+		return x.Else == nil || danglesElse(x.Else)
+	case *ast.ForStmt:
+		return danglesElse(x.Body)
+	case *ast.ForInStmt:
+		return danglesElse(x.Body)
+	case *ast.WhileStmt:
+		return danglesElse(x.Body)
+	}
+	return false
 }
 
-// nestedBodyNoNL prints the body *s as a block. A bare single statement
-// is braced for output robustness; the parser reads the braces back as a
-// block, so Stamp puts that block into the tree at *s.
-func (p *printer) nestedBodyNoNL(s *ast.Stmt, indent int) {
+// body prints the loop or branch body *s as the source had it, a block
+// after a space or a bare statement on a line of its own, then next: the
+// keyword that continues the statement, or "" to end the line. MiniJS
+// scopes a var to its block, so bracing a bare body would change what it
+// declares; brace does so only where the bare text would not parse back,
+// and Stamp puts the block the parser reads into the tree at *s.
+func (p *printer) body(s *ast.Stmt, indent int, brace bool, next string) {
 	blk, ok := (*s).(*ast.BlockStmt)
+	if !ok && !brace {
+		p.b.WriteString("\n")
+		p.stmt(*s, indent+1)
+		if next != "" {
+			p.ws(indent)
+			p.b.WriteString(next)
+		}
+		return
+	}
 	if !ok {
 		blk = &ast.BlockStmt{Body: []ast.Stmt{*s}}
 		if p.stamp {
@@ -380,7 +403,14 @@ func (p *printer) nestedBodyNoNL(s *ast.Stmt, indent int) {
 			*s = blk
 		}
 	}
+	p.b.WriteString(" ")
 	p.block(blk, indent)
+	if next == "" {
+		next = "\n"
+	} else {
+		next = " " + next
+	}
+	p.b.WriteString(next)
 }
 
 func (p *printer) block(blk *ast.BlockStmt, indent int) {

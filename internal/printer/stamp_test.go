@@ -3,6 +3,7 @@ package printer
 import (
 	"testing"
 
+	"turnstile/internal/ast"
 	"turnstile/internal/asttest"
 	"turnstile/internal/parser"
 )
@@ -22,6 +23,7 @@ var stampCases = []string{
 	"switch (v) { case 1: f(); break; default: g(); }\ntry { a(); } catch (e) { b(); } finally { c(); }",
 	"for (a = 1, b = 2; a < b; a++, b--) ;\nx;",
 	"function of() {}\nasync function g() { await (h(), k); }",
+	"if (c) var x = 5; else var y = 6;\nif (a) for (;;) if (b) c(); else d(); else e();\ndo x++; while (x < 3);",
 }
 
 // TestStampMatchesParse: Stamp prints what Print prints and leaves the
@@ -55,5 +57,33 @@ func TestStampMatchesParse(t *testing.T) {
 		if err := asttest.CheckIDs(prog); err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
+	}
+}
+
+// TestStampBracesDanglingElse: a then-branch ending in an if without an
+// else, under an if with one, is the one body the text braces (bare, the
+// inner if would take the else). The parser never builds it, so the tree
+// is built by hand, and Stamp inserts the block the parser reads back.
+func TestStampBracesDanglingElse(t *testing.T) {
+	prog := parser.MustParse("s.js", "if (a) { while (w) if (b) c(); } else d();")
+	outer := prog.Body[0].(*ast.IfStmt)
+	outer.Then = outer.Then.(*ast.BlockStmt).Body[0]
+	printed := Print(prog)
+	stamped, err := Stamp(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stamped != printed {
+		t.Fatalf("Stamp and Print disagree:\n%s\n---\n%s", stamped, printed)
+	}
+	want := parser.MustParse("s.js", printed)
+	if _, braced := want.Body[0].(*ast.IfStmt).Then.(*ast.BlockStmt); !braced {
+		t.Fatalf("dangling then-branch printed bare:\n%s", printed)
+	}
+	if d := asttest.Diff(prog, want); d != "" {
+		t.Fatalf("stamped tree differs from the parsed print: %s\nprinted:\n%s", d, printed)
+	}
+	if err := asttest.CheckIDs(prog); err != nil {
+		t.Fatal(err)
 	}
 }
