@@ -102,7 +102,8 @@ type ValueAdapter interface {
 	SetElement(v any, i int, val any) bool
 	// IsReference reports whether v carries identity of its own. A value
 	// that is neither a Ref nor a reference must have no elements and no
-	// properties: label collection treats it as a leaf.
+	// properties: label collection treats it as a leaf. Go strings,
+	// float64s, bools and nil are never references.
 	IsReference(v any) bool
 }
 
@@ -704,6 +705,12 @@ func (c *collector) root(v any) {
 }
 
 func (c *collector) walk(v any, depth int) {
+	switch v.(type) {
+	case string, float64, bool, nil:
+		// a plain scalar is a leaf without labels at any depth (see
+		// IsReference), so it skips the probes below
+		return
+	}
 	t := c.t
 	if depth > maxCollectDepth {
 		// Truncating a plain value is lossless — it carries no identity

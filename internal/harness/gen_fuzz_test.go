@@ -40,32 +40,40 @@ func FuzzGenCorpus(f *testing.F) {
 }
 
 // FuzzVMEquivalence is the differential fuzz target for the bytecode VM:
-// any generated (seed, stratum, size) coordinate, deployed exhaustively
-// with the VM and again on the tree-walker, must produce
-// byte-identical observable records — sink traces, per-message errors,
-// violations with full label text, and tracker statistics. A divergence
-// here is a VM semantics bug by definition: the tree-walker is the
-// oracle.
+// any generated (seed, stratum, size) coordinate, deployed with the VM and
+// again on the tree-walker, must produce byte-identical observable
+// records — sink traces, per-message errors, violations with full label
+// text, and tracker statistics. The config byte picks the deployment:
+// bit 0 selective (else exhaustive) instrumentation, bit 1 implicit-flow
+// tracking off, so selective code and code outside a pc scope are fuzzed
+// too. A divergence here is a VM semantics bug by definition: the
+// tree-walker is the oracle.
 func FuzzVMEquivalence(f *testing.F) {
-	f.Add(uint64(1), byte(0), byte(6))
-	f.Add(uint64(0xC0FFEE), byte(3), byte(9))
-	f.Add(uint64(42), byte(6), byte(0))
-	f.Add(^uint64(0), byte(200), byte(255))
-	f.Fuzz(func(t *testing.T, seed uint64, stratumByte, sizeByte byte) {
+	f.Add(uint64(1), byte(0), byte(6), byte(0))
+	f.Add(uint64(0xC0FFEE), byte(3), byte(9), byte(0))
+	f.Add(uint64(42), byte(6), byte(0), byte(0))
+	f.Add(^uint64(0), byte(200), byte(255), byte(0))
+	f.Add(uint64(1), byte(0), byte(6), byte(1))
+	f.Add(uint64(0xC0FFEE), byte(3), byte(9), byte(2))
+	f.Add(uint64(42), byte(6), byte(0), byte(3))
+	f.Fuzz(func(t *testing.T, seed uint64, stratumByte, sizeByte, config byte) {
 		names := corpus.GenStratumNames()
 		stratum := names[int(stratumByte)%len(names)]
 		app, err := corpus.Generate(stratum, seed, int(sizeByte))
 		if err != nil {
 			t.Fatalf("Generate(%s, %#x, %d): %v", stratum, seed, sizeByte, err)
 		}
-		base := genVariant{mode: instrument.Exhaustive}
+		base := genVariant{mode: instrument.Exhaustive, noImplicit: config&2 != 0}
+		if config&1 != 0 {
+			base.mode = instrument.Selective
+		}
 		walker := base
 		walker.engine = interp.EngineWalker
 		vmSig := genRun(app, base, false)
 		walkSig := genRun(app, walker, false)
 		if vmSig != walkSig {
-			t.Fatalf("%s (stratum %s, seed %#x): VM and tree-walker diverged:\n-- vm --\n%s\n-- walker --\n%s",
-				app.Name, stratum, seed, vmSig, walkSig)
+			t.Fatalf("%s (stratum %s, seed %#x, config %d): VM and tree-walker diverged:\n-- vm --\n%s\n-- walker --\n%s",
+				app.Name, stratum, seed, config&3, vmSig, walkSig)
 		}
 	})
 }

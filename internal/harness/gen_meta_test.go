@@ -88,6 +88,7 @@ type genVariant struct {
 	limits     *guard.Limits
 	failClosed bool
 	enforce    bool
+	noImplicit bool // deploy without implicit-flow tracking
 }
 
 // genRun deploys a generated app under one variant, pumps its schedule,
@@ -98,7 +99,7 @@ type genVariant struct {
 func genRun(ga *corpus.GenApp, v genVariant, labelFree bool) string {
 	copts := core.DefaultOptions()
 	copts.Mode = v.mode
-	copts.ImplicitFlows = true
+	copts.ImplicitFlows = !v.noImplicit
 	copts.Enforce = v.enforce
 	copts.Engine = v.engine
 	copts.Faults = v.schedule

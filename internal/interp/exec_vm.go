@@ -528,12 +528,14 @@ func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value
 			case vm.OpDiv:
 				fregs[in.A] = lf / rf
 			default:
-				// integral operands take the integer remainder, which
-				// agrees with math.Mod (truncated division, sign of the
-				// dividend) at a fraction of the cost; -0 dividends keep
-				// math.Mod so the result preserves the sign bit
+				// integral operands with a non-negative dividend take the
+				// integer remainder, which agrees with math.Mod (truncated
+				// division, sign of the dividend) at a fraction of the
+				// cost; negative dividends keep math.Mod, whose zero
+				// remainder is -0 (-4 % 2), and so do dividends from 2^63
+				// up, which int64 cannot hold
 				li, ri := int64(lf), int64(rf)
-				if ri != 0 && float64(li) == lf && float64(ri) == rf && !(lf == 0 && math.Signbit(lf)) {
+				if ri != 0 && float64(li) == lf && float64(ri) == rf && !math.Signbit(lf) && lf < 1<<63 {
 					fregs[in.A] = float64(li % ri)
 				} else {
 					fregs[in.A] = math.Mod(lf, rf)

@@ -41,6 +41,9 @@ func TestTauDegenerateCalls(t *testing.T) {
 	err := runIn(t, ip, `
 console.log(__t.label("x"));
 console.log(__t.binaryOp("+"));
+(function () { __t.binaryOp(); })();
+console.log(__t.member({}));
+(function () { __t.member(); })();
 console.log(__t.derive());
 console.log(__t.check("only-data"));
 console.log(__t.invoke({}, "m"));

@@ -242,6 +242,9 @@ func TestVMConstructMatrix(t *testing.T) {
 		"void-typeof-delete": `
 			var o = { k: 1 };
 			console.log(void 0, typeof 1, typeof "s", typeof undef_thing, delete o.k, o.k);`,
+		"mod-sign": `
+			var a = -4, b = 2;
+			console.log(1 / (a % b), 1 / (-0 % 5), 1 / (4 % 2), -7 % 3, 7 % -3, 5.5 % 2, 9007199254740992 % 3);`,
 		"negative-unary": `
 			var n = "5";
 			console.log(-n, +n, !n, ~n, -"x");`,
