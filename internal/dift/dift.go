@@ -171,7 +171,7 @@ type Stats struct {
 	Violations int
 }
 
-// Tracker is one inlined DIF Tracker instance (the τ object of Fig. 2b).
+// Tracker is one inlined DIF Tracker instance (the τ of Fig. 2b).
 // A tracker is created at application startup with the application's IFC
 // policy and is not safe for concurrent use (MiniJS, like Node.js, is
 // single-threaded per application).

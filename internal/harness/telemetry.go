@@ -12,37 +12,21 @@ import (
 // This file implements the per-app overhead breakdown behind
 // `turnstile-bench -metrics`: every runnable app's selective and
 // exhaustive versions are replayed with the telemetry layer attached, and
-// the instrumented-vs-original cost is attributed to individual DIFT
-// operations. The attribution is count-based with a fixed documented cost
-// model, never wall-clock-based, so the rendered table is byte-identical
-// across runs, worker counts and machines — the property the golden test
-// and TestReportGates compare directly.
+// the instrumented-vs-original difference is counted per DIFT operation.
+// The table holds counts only, never wall-clock time (the wall-clock
+// benchmark in bench/ measures what the operations cost), so it is
+// byte-identical across runs, worker counts and machines — the property
+// the golden test and TestReportGates compare directly.
 
 // OpOrder is the canonical tracker-op column order of the breakdown table.
 var OpOrder = []string{"label", "binaryOp", "assign", "check", "invoke", "track", "box"}
 
-// OpWeights is the deterministic cost model: relative units per tracker
-// operation, calibrated once against BenchmarkDIFTOps (label resolves a
-// labeller and attaches; check and invoke walk the data labels and consult
-// the policy graph; track and box heap-allocate a wrapper; binaryOp and
-// assign are single label-map unions).
-var OpWeights = map[string]int64{
-	"label":    4,
-	"binaryOp": 1,
-	"assign":   1,
-	"check":    3,
-	"invoke":   5,
-	"track":    2,
-	"box":      2,
-}
-
 // BreakdownVersion is the telemetry snapshot of one instrumented version's
 // replay.
 type BreakdownVersion struct {
-	// Ops maps tracker op → count (the dift.* counters, prefix stripped).
+	// Ops maps tracker op → count (the dift.* counters named in OpOrder,
+	// prefix stripped).
 	Ops map[string]int64
-	// Units is the weighted cost attribution: Σ count × OpWeights[op].
-	Units int64
 	// HostCalls / SinkWrites / Violations are the runtime counters.
 	HostCalls  int64
 	SinkWrites int64
@@ -51,22 +35,6 @@ type BreakdownVersion struct {
 	CacheHits, CacheMisses int64
 	// TraceEvents is the tracer's total (0 when tracing was off).
 	TraceEvents int64
-}
-
-// TopOp returns the op with the largest weighted contribution and its
-// share of Units (ties broken by op name, keeping output deterministic).
-func (v *BreakdownVersion) TopOp() (string, float64) {
-	if v.Units == 0 {
-		return "-", 0
-	}
-	best, bestUnits := "", int64(-1)
-	for _, op := range OpOrder {
-		u := v.Ops[op] * OpWeights[op]
-		if u > bestUnits {
-			best, bestUnits = op, u
-		}
-	}
-	return best, 100 * float64(bestUnits) / float64(v.Units)
 }
 
 // BreakdownRow is one app's breakdown.
@@ -102,10 +70,10 @@ type BreakdownOptions struct {
 }
 
 // RunBreakdown replays every runnable app's selective and exhaustive
-// versions under the telemetry layer and attributes the instrumented cost
-// to tracker ops. The original version needs no replay: it executes zero
-// tracker ops by construction, so the op counts are the
-// instrumented-minus-original delta.
+// versions under the telemetry layer and counts their tracker ops. The
+// original version needs no replay: it executes zero tracker ops by
+// construction, so the op counts are the instrumented-minus-original
+// delta.
 func RunBreakdown(apps []*corpus.App, opts BreakdownOptions) (*BreakdownResult, error) {
 	if opts.Messages <= 0 {
 		opts.Messages = 40
@@ -183,11 +151,8 @@ func replayWithTelemetry(r *Runner, messages, traceCap int) (*BreakdownVersion, 
 // snapshotVersion extracts the breakdown quantities from a registry.
 func snapshotVersion(m *telemetry.Metrics) *BreakdownVersion {
 	v := &BreakdownVersion{Ops: make(map[string]int64, len(OpOrder))}
-	for op, n := range m.CountersWithPrefix("dift.") {
-		if _, known := OpWeights[op]; known {
-			v.Ops[op] = n
-			v.Units += n * OpWeights[op]
-		}
+	for _, op := range OpOrder {
+		v.Ops[op] = m.CounterValue("dift." + op)
 	}
 	v.HostCalls = m.SumWithPrefix("host.")
 	v.SinkWrites = m.SumWithPrefix("sink.")
@@ -202,20 +167,14 @@ func snapshotVersion(m *telemetry.Metrics) *BreakdownVersion {
 func RenderBreakdown(res *BreakdownResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Overhead breakdown: tracker-op attribution, %d messages per app\n", res.Messages)
-	b.WriteString("(cost units:")
-	for _, op := range OpOrder {
-		fmt.Fprintf(&b, " %s=%d", op, OpWeights[op])
-	}
-	b.WriteString(")\n")
 	renderMode := func(title string, pick func(*BreakdownRow) *BreakdownVersion) {
 		fmt.Fprintf(&b, "\n%s instrumentation\n", title)
 		fmt.Fprintf(&b, "%-18s |", "application")
 		for _, op := range OpOrder {
 			fmt.Fprintf(&b, " %8s", op)
 		}
-		fmt.Fprintf(&b, " | %8s  %s\n", "units", "top op (share)")
+		b.WriteString("\n")
 		totals := make(map[string]int64, len(OpOrder))
-		var totalUnits int64
 		for i := range res.Rows {
 			v := pick(&res.Rows[i])
 			fmt.Fprintf(&b, "%-18s |", res.Rows[i].App)
@@ -223,15 +182,13 @@ func RenderBreakdown(res *BreakdownResult) string {
 				fmt.Fprintf(&b, " %8d", v.Ops[op])
 				totals[op] += v.Ops[op]
 			}
-			totalUnits += v.Units
-			top, share := v.TopOp()
-			fmt.Fprintf(&b, " | %8d  %s (%.1f%%)\n", v.Units, top, share)
+			b.WriteString("\n")
 		}
 		fmt.Fprintf(&b, "%-18s |", "TOTAL")
 		for _, op := range OpOrder {
 			fmt.Fprintf(&b, " %8d", totals[op])
 		}
-		fmt.Fprintf(&b, " | %8d\n", totalUnits)
+		b.WriteString("\n")
 	}
 	renderMode("selective", func(r *BreakdownRow) *BreakdownVersion { return &r.Selective })
 	renderMode("exhaustive", func(r *BreakdownRow) *BreakdownVersion { return &r.Exhaustive })

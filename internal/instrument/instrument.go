@@ -8,8 +8,9 @@
 // original: nodes that pass through unchanged are copied, keeping their
 // IDs and positions. The original is never modified, so a pipeline cache
 // can hand it to other goroutines while the output is printed, stamped
-// and resolved in place. The instrumented program references the __t
-// global installed by interp.InstallTracker (the τ object of Fig. 2b).
+// and resolved in place. The instrumented program calls the tracker τ of
+// Fig. 2b as `__t.<method>(...)` (vm.TrackerName, vm.TrackerOp), the
+// calls interp.InstallTracker serves.
 package instrument
 
 import (
@@ -17,6 +18,7 @@ import (
 
 	"turnstile/internal/ast"
 	"turnstile/internal/policy"
+	"turnstile/internal/vm"
 )
 
 // Mode selects the instrumentation strategy of §6.2.
@@ -50,8 +52,6 @@ type Options struct {
 	Injections []policy.Injection
 	// File is the name used to match injections; defaults to Program.File.
 	File string
-	// TrackerVar is the global name of the tracker object (default "__t").
-	TrackerVar string
 	// ImplicitFlows enables the experimental implicit-flow instrumentation
 	// (the paper's §8 future work): conditional regions are wrapped in
 	// pc-label scopes (τ.pushScope / τ.pc / τ.popScope, balanced with
@@ -78,9 +78,6 @@ type Result struct {
 
 // Instrument rewrites prog according to opts.
 func Instrument(prog *ast.Program, opts Options) (*Result, error) {
-	if opts.TrackerVar == "" {
-		opts.TrackerVar = "__t"
-	}
 	if opts.File == "" {
 		opts.File = prog.File
 	}
@@ -150,7 +147,7 @@ func (ins *instrumentor) tau(pos ast.Pos, method string, args ...ast.Expr) *ast.
 		NodeInfo: ins.info(pos),
 		Callee: &ast.MemberExpr{
 			NodeInfo: ins.info(pos),
-			Object:   &ast.Ident{NodeInfo: ins.info(pos), Name: ins.opts.TrackerVar},
+			Object:   &ast.Ident{NodeInfo: ins.info(pos), Name: vm.TrackerName},
 			Property: method,
 		},
 		Args: args,
@@ -536,6 +533,12 @@ func (ins *instrumentor) call(x *ast.CallExpr) ast.Expr {
 			hasSpread = true
 		}
 	}
+	if vm.TrackerOp(x) != 0 {
+		// a tracker call is τ itself, by the rule both engines apply, and
+		// no other call is. Its callee stays as written: `__t` is no value,
+		// so routing it through τ.member would throw.
+		return &ast.CallExpr{NodeInfo: x.NodeInfo, Callee: ins.copyExpr(x.Callee), Args: args}
+	}
 	if !ins.selected(x) || hasSpread {
 		// spread calls stay native: τ.invoke takes a literal args array and
 		// the interpreter's spread handling is already transparent
@@ -545,9 +548,6 @@ func (ins *instrumentor) call(x *ast.CallExpr) ast.Expr {
 	argArr := &ast.ArrayLit{NodeInfo: ins.info(pos), Elems: args}
 	switch callee := x.Callee.(type) {
 	case *ast.MemberExpr:
-		if isTrackerRef(callee.Object, ins.opts.TrackerVar) {
-			return &ast.CallExpr{NodeInfo: x.NodeInfo, Callee: ins.expr(x.Callee), Args: args}
-		}
 		if !callee.Computed {
 			ins.res.Invokes++
 			return ins.tau(pos, "invoke", ins.expr(callee.Object), ins.str(pos, callee.Property), argArr, ins.site(pos))
@@ -557,7 +557,7 @@ func (ins *instrumentor) call(x *ast.CallExpr) ast.Expr {
 		// through a dynamic name (§4.5)
 		return ins.tau(pos, "invoke", ins.expr(callee.Object), ins.expr(callee.Index), argArr, ins.site(pos))
 	case *ast.Ident:
-		if callee.Name == ins.opts.TrackerVar || callee.Name == "require" {
+		if callee.Name == "require" {
 			return &ast.CallExpr{NodeInfo: x.NodeInfo, Callee: ins.copyExpr(callee), Args: args}
 		}
 		ins.res.Invokes++
@@ -603,11 +603,6 @@ func (ins *instrumentor) pcScope(pos ast.Pos, stmt ast.Stmt) ast.Stmt {
 		Finally:  &ast.BlockStmt{NodeInfo: ins.info(pos), Body: []ast.Stmt{pop}},
 	}
 	return &ast.BlockStmt{NodeInfo: ins.info(pos), Body: []ast.Stmt{push, try}}
-}
-
-func isTrackerRef(e ast.Expr, trackerVar string) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == trackerVar
 }
 
 func compoundOp(op string) (string, bool) {

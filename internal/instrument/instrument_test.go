@@ -337,6 +337,28 @@ func TestRequireNotWrapped(t *testing.T) {
 	_ = res
 }
 
+// TestOnlyTrackerCallsStayNative: a call passes through as a tracker call
+// only by the rule both engines apply (vm.TrackerOp), its callee as
+// written even in exhaustive mode; any other call on a `__t` is
+// instrumented like any call.
+func TestOnlyTrackerCallsStayNative(t *testing.T) {
+	prog, _ := parser.Parse("t.js", "__t.check(d, r);\n__t.write(d);\n__t(d);")
+	res, _ := Instrument(prog, Options{Mode: Exhaustive})
+	out := printer.Print(res.Program)
+	for _, want := range []string{
+		`__t.check(d, r);`,
+		`__t.invoke(__t, "write", [d], "t.js:2:1");`,
+		`__t.call(__t, [d], "t.js:3:1");`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %s in:\n%s", want, out)
+		}
+	}
+	if res.Invokes != 2 {
+		t.Errorf("invokes = %d, want 2", res.Invokes)
+	}
+}
+
 func TestInstrumentIdempotentIDs(t *testing.T) {
 	prog, _ := parser.Parse("i.js", fig2aSource)
 	res, _ := Instrument(prog, Options{Mode: Exhaustive})

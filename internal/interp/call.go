@@ -12,11 +12,24 @@ import (
 )
 
 // evalCall evaluates a call expression, routing method calls so `this` is
-// bound to the receiver.
+// bound to the receiver. A tracker call (vm.TrackerOp) charges the step
+// its `__t` ident would and goes straight to the installed τ method, as
+// the VM's OpTrackerCall does.
 func (ip *Interp) evalCall(x *ast.CallExpr, env *Env) (Value, error) {
 	args, err := ip.evalArgs(x.Args, env)
 	if err != nil {
 		return nil, err
+	}
+	if op := vm.TrackerOp(x); op != 0 {
+		mem := x.Callee.(*ast.MemberExpr)
+		if err := ip.step(mem.Object.Pos()); err != nil {
+			return nil, err
+		}
+		fn := ip.tauFns[op]
+		if fn == nil {
+			return nil, trackerUndefined(mem)
+		}
+		return fn.Fn(ip, undef, args)
 	}
 	if mem, ok := x.Callee.(*ast.MemberExpr); ok {
 		recv, err := ip.eval(mem.Object, env)

@@ -247,36 +247,10 @@ func rval(regs []Value, fregs []float64, ftag []bool, i int32) Value {
 	return regs[i]
 }
 
-// tauFast returns the built-in τ function for a fused call site's op code
-// while the fast path is valid: the tracker object installed by
-// InstallTracker is still the unshadowed `__t` binding (no dynamic
-// rebinding anywhere, no property writes on τ itself since install). It
-// returns nil otherwise, and for op 0.
-func (ip *Interp) tauFast(op vm.TauOp) *HostFunc {
-	fn := ip.tauFns[op]
-	if fn == nil || ip.tauRebound || ip.tauObj.version != ip.tauVer {
-		return nil
-	}
-	return fn
-}
-
-// trackerCall is the generic path of a fused `__t.method(...)` call site:
-// the exact tree-walker sequence of ident lookup, IC method dispatch,
-// CallMethod.
-func (ip *Interp) trackerCall(site *vm.CallSite, env *Env, args []Value) (Value, error) {
-	pos := site.Node.Pos()
-	mem := site.Mem
-	id := mem.Object.(*ast.Ident)
-	recv, ok := ip.lookupIdent(env, id.Name, id.Ref)
-	if !ok {
-		return nil, &RuntimeError{Msg: fmt.Sprintf("%q is not defined", id.Name), Pos: id.Pos()}
-	}
-	if o, isObj := dift.Unwrap(recv).(*Object); isObj {
-		if fn, hit := ip.icMethod(mem, o, site.Name); hit {
-			return ip.CallFunction(fn, o, args, pos)
-		}
-	}
-	return ip.CallMethod(recv, site.Name, args, pos)
+// trackerUndefined is the error of a tracker call with no tracker
+// installed: the one the walker's lookup of the `__t` ident would raise.
+func trackerUndefined(mem *ast.MemberExpr) error {
+	return &RuntimeError{Msg: fmt.Sprintf("%q is not defined", vm.TrackerName), Pos: mem.Object.Pos()}
 }
 
 // runChunk executes one compiled chunk in env. Completions mirror
@@ -391,12 +365,9 @@ func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value
 			ip.defineVar(env, site.Name, site.Ref, rval(regs, fregs, ftag, in.A), site.Const)
 		case vm.OpStoreIdent:
 			// inlined assignIdent: slot fast path, dynamic walk fallback,
-			// implicit-global definition, __t rebind latch
+			// implicit-global definition
 			id := ch.Consts[in.B].(*ast.Ident)
 			v := rval(regs, fregs, ftag, in.A)
-			if id.Name == "__t" {
-				ip.tauRebound = true
-			}
 			if ref := id.Ref; ref != nil {
 				cur := env
 				for d := 0; d < ref.Depth && cur != nil; d++ {
@@ -778,17 +749,15 @@ func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value
 			regs[in.A], ftag[in.A] = v, false
 		case vm.OpTrackerCall:
 			site := ch.Consts[in.D].(*vm.CallSite)
-			var v Value
-			var err error
-			if fn := ip.tauFast(site.Tau); fn != nil {
-				// a built-in τ function never keeps its argument slice (see
-				// InstallTracker), so the window is pooled
-				args := ip.vmArgs(regs, fregs, ftag, in.C, true)
-				v, err = fn.Fn(ip, ip.tauObj, args)
-				ip.putArgs(args)
-			} else {
-				v, err = ip.trackerCall(site, env, callArgs(regs, fregs, ftag, in.C))
+			fn := ip.tauFns[site.Tau]
+			if fn == nil {
+				return ctrlNormal, nil, trackerUndefined(site.Mem)
 			}
+			// a τ function never keeps its argument slice (see
+			// InstallTracker), so the window is pooled
+			args := ip.vmArgs(regs, fregs, ftag, in.C, true)
+			v, err := fn.Fn(ip, undef, args)
+			ip.putArgs(args)
 			if err != nil {
 				return ctrlNormal, nil, err
 			}

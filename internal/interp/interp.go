@@ -58,8 +58,8 @@ type Interp struct {
 	// IO records all writes to host sink modules, and provides the handles
 	// used to inject source events.
 	IO *IORecorder
-	// Tracker, when non-nil, is the inlined DIF Tracker exposed to the
-	// application as the __t global.
+	// Tracker, when non-nil, is the inlined DIF Tracker, which the
+	// application reaches only through tracker calls (vm.TrackerOp).
 	Tracker *dift.Tracker
 	// ConsoleOut collects console.log lines.
 	ConsoleOut []string
@@ -144,15 +144,10 @@ type Interp struct {
 	envPool   []*Env
 	argPool   [][]Value
 
-	// fused-tracker fast path: snapshot of the __t object taken at
-	// InstallTracker time. Valid while the binding was never dynamically
-	// rebound (tauRebound) and the object itself is unmutated (version
-	// compare); OpTrackerCall then calls tauFns[site.Tau] without an
-	// environment walk or member lookup.
-	tauObj     *Object
-	tauVer     uint64
-	tauFns     [len(vm.TauMethods)]*HostFunc
-	tauRebound bool
+	// tauFns holds the installed tracker's τ methods by op code
+	// (vm.TauMethods), all nil until InstallTracker. Every tracker call
+	// (vm.TrackerOp), on either engine, dispatches through it.
+	tauFns [len(vm.TauMethods)]*HostFunc
 
 	// resolver fast-path telemetry, flushed into Metrics by
 	// FlushEnvTelemetry
@@ -1046,11 +1041,6 @@ func newEnvFor(parent *Env, scope *ast.ScopeInfo) *Env {
 // defineVar declares name in env, going through the resolved slot when the
 // declaration carries one.
 func (ip *Interp) defineVar(env *Env, name string, ref *ast.VarRef, v Value, isConst bool) {
-	if name == "__t" {
-		// any user-level (re)declaration of the tracker binding kills the
-		// fused-opcode fast path permanently for this interpreter
-		ip.tauRebound = true
-	}
 	if ref != nil && env.DefineSlot(ref.Slot, v, isConst) {
 		ip.envSlotWrites++
 		return
@@ -1087,9 +1077,6 @@ func (ip *Interp) lookupIdent(env *Env, name string, ref *ast.VarRef) (Value, bo
 // assignments, compound assignments, update expressions and undeclared
 // for-in/of loop variables.
 func (ip *Interp) assignIdent(env *Env, name string, ref *ast.VarRef, v Value) error {
-	if name == "__t" {
-		ip.tauRebound = true
-	}
 	if ref != nil {
 		done, err := env.SlotAssign(ref.Depth, ref.Slot, v)
 		if err != nil {

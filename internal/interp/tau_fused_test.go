@@ -18,11 +18,12 @@ import (
 	"turnstile/internal/vm"
 )
 
-// The VM dispatches a fused `__t.<method>(…)` site by op code straight to
-// the built-in τ function, with a pooled argument window. These tests pin
-// that the fused path is observationally the generic path: same values,
-// labels, violations and step charges for every τ method, and no way for
-// MiniJS code to see the recycled window.
+// A tracker call `__t.<method>(…)` (vm.TrackerOp) goes by op code straight
+// to the installed τ function on both engines; the VM hands it a pooled
+// argument window. These tests pin that the VM's fused sites are
+// observationally the walker's calls: same values, labels, violations and
+// step charges for every τ method, no way for MiniJS code to see the
+// recycled window, and no way for it to reach τ through a binding.
 
 const fusedPolicy = `{
   "labellers": { "Sec": "v => \"secret\"", "Pub": "v => \"public\"" },
@@ -107,22 +108,18 @@ func observe(t *testing.T, ip *Interp, base int64) string {
 
 func TestFusedTauMatchesGenericPath(t *testing.T) {
 	fused := fusedInterp(t, EngineVM)
-	generic := fusedInterp(t, EngineVM)
-	runResolved(t, generic, `__t.extra = 1;`) // bumps τ's version
+	walker := fusedInterp(t, EngineWalker)
 	for op := 1; op < len(vm.TauMethods); op++ {
-		if fused.tauFast(vm.TauOp(op)) == nil {
-			t.Fatalf("τ method %q has no fused entry", vm.TauMethods[op])
-		}
-		if generic.tauFast(vm.TauOp(op)) != nil {
-			t.Fatal("mutating τ did not disable the fused path")
+		if fn := fused.tauFns[op]; fn == nil || fn.Name != vm.TauMethods[op] {
+			t.Fatalf("tauFns[%d] = %v, want the τ method %q", op, fn, vm.TauMethods[op])
 		}
 	}
-	fusedBase, genericBase := fused.Steps(), generic.Steps()
+	fusedBase, walkerBase := fused.Steps(), walker.Steps()
 	runResolved(t, fused, everyTauMethod)
-	runResolved(t, generic, everyTauMethod)
-	f, g := observe(t, fused, fusedBase), observe(t, generic, genericBase)
-	if f != g {
-		t.Fatalf("fused and generic τ dispatch differ\nfused:\n%s\ngeneric:\n%s", f, g)
+	runResolved(t, walker, everyTauMethod)
+	f, w := observe(t, fused, fusedBase), observe(t, walker, walkerBase)
+	if f != w {
+		t.Fatalf("fused and walker τ calls differ\nfused:\n%s\nwalker:\n%s", f, w)
 	}
 	if len(fused.Tracker.Violations()) == 0 {
 		t.Fatal("the program recorded no violation: the comparison is vacuous")
@@ -165,10 +162,9 @@ console.log(kept[0][0], kept[0][1], kept[0][2], kept[0].length, kept[1][0], kept
 
 // The battery below runs __t.binaryOp, __t.member and __t.track over
 // plain, boxed and labelled operands of every kind, in every tracker state
-// that changes what a derive does, on three arms: the VM's fused sites,
-// the VM with τ mutated (the generic path) and the tree-walker. All three
-// must agree on values, labels, integrity facts, violations, steps,
-// tracker stats and dift.* telemetry.
+// that changes what a derive does, on two arms: the VM's fused sites and
+// the tree-walker. Both must agree on values, labels, integrity facts,
+// violations, steps, tracker stats and dift.* telemetry.
 
 const flatPolicy = `{
   "labellers": { "Sec": "v => \"secret\"", "Pub": "v => \"public\"" },
@@ -257,7 +253,7 @@ function run() {
 }
 
 // parityInterp builds one arm's interpreter for a state.
-func parityInterp(t *testing.T, st parityState, engine Engine, mutateTau bool) *Interp {
+func parityInterp(t *testing.T, st parityState, engine Engine) *Interp {
 	t.Helper()
 	ip := New()
 	ip.Engine = engine
@@ -272,9 +268,6 @@ func parityInterp(t *testing.T, st parityState, engine Engine, mutateTau bool) *
 	tr.FailClosed = st.failClosed
 	if st.telemetry {
 		ip.EnableTelemetry(telemetry.NewMetrics(), telemetry.NewTracer(1<<20, ip.Clock.Now))
-	}
-	if mutateTau {
-		runResolved(t, ip, `__t.extra = 1;`)
 	}
 	return ip
 }
@@ -340,21 +333,9 @@ func TestTauFusedParity(t *testing.T) {
 	for _, st := range parityStates {
 		t.Run(st.name, func(t *testing.T) {
 			src := paritySource(st)
-			arms := []struct {
-				name      string
-				engine    Engine
-				mutateTau bool
-			}{
-				{"vm", EngineVM, false},
-				{"vm generic", EngineVM, true},
-				{"walker", EngineWalker, false},
-			}
 			var want string
-			for i, arm := range arms {
-				ip := parityInterp(t, st, arm.engine, arm.mutateTau)
-				if arm.mutateTau != (ip.tauFast(vm.TauOpOf("binaryOp")) == nil) {
-					t.Fatalf("%s: τ fast path armed = %v", arm.name, !arm.mutateTau)
-				}
+			for i, engine := range []Engine{EngineVM, EngineWalker} {
+				ip := parityInterp(t, st, engine)
 				base := ip.Steps()
 				runResolved(t, ip, src)
 				got := observeParity(t, ip, base)
@@ -363,7 +344,7 @@ func TestTauFusedParity(t *testing.T) {
 					continue
 				}
 				if got != want {
-					t.Fatalf("%s differs from vm: %s", arm.name, firstDiff(got, want))
+					t.Fatalf("%v differs from vm: %s", engine, firstDiff(got, want))
 				}
 			}
 			if !strings.Contains(want, "labels [secret]") {
@@ -375,8 +356,7 @@ func TestTauFusedParity(t *testing.T) {
 
 // TestTauFusedBudgetTripParity: a string concatenation through
 // __t.binaryOp that trips the guard's allocation budget trips at the same
-// step, with the same BudgetError, on the fused site, the generic path and
-// the tree-walker.
+// step, with the same BudgetError, on the fused site and the tree-walker.
 func TestTauFusedBudgetTripParity(t *testing.T) {
 	const src = `
 function grow() {
@@ -387,11 +367,8 @@ function grow() {
 grow();
 `
 	var want string
-	for i, arm := range []struct {
-		engine    Engine
-		mutateTau bool
-	}{{EngineVM, false}, {EngineVM, true}, {EngineWalker, false}} {
-		ip := parityInterp(t, flatAudit, arm.engine, arm.mutateTau)
+	for i, engine := range []Engine{EngineVM, EngineWalker} {
+		ip := parityInterp(t, flatAudit, engine)
 		ip.SetGuard(guard.New(guard.Limits{MaxAlloc: 1 << 16}))
 		prog, err := parser.Parse("budget.js", src)
 		if err != nil {
@@ -413,30 +390,36 @@ grow();
 	}
 }
 
-// TestTauFusedYieldsToUserCode: once a program assigns __t.binaryOp (or
-// any τ property), or rebinds __t, a fused site calls the program's
-// function on both engines.
-func TestTauFusedYieldsToUserCode(t *testing.T) {
+// TestTauCallsIgnoreUserBindings: on both engines a program's own `__t`,
+// shadowing or global, is an ordinary variable. Its other methods run,
+// while every call naming a τ method still reaches the tracker.
+func TestTauCallsIgnoreUserBindings(t *testing.T) {
 	const src = `
 var out = [];
 function run() {
-  out.push(__t.binaryOp("+", 1, 2), __t.member({ k: 1 }, "k"), __t.track(3));
-  __t.binaryOp = function (op, a, b) { return "patched " + op; };
-  out.push(__t.binaryOp("+", 1, 2), __t.member({ k: 1 }, "k"));
-  __t = { binaryOp: function () { return "rebound"; }, member: function () { return "m"; }, track: function () { return "t"; } };
-  out.push(__t.binaryOp("+", 1, 2), __t.member({ k: 1 }, "k"), __t.track(3));
+  var __t = { binaryOp: function () { return "shadow"; }, other: function () { return "o"; } };
+  out.push(__t.binaryOp("+", 1, 2), __t.other());
 }
 run();
+var __t = { member: function () { return "m"; }, extra: function (x) { return "e" + x; } };
+out.push(__t.member({ k: 1 }, "k"), __t.extra(1), __t.track(3));
+__t = { binaryOp: function () { return "rebound"; }, more: function () { return "more"; } };
+out.push(__t.binaryOp("+", 1, 2), __t.more(), typeof __t);
 console.log(out.map(function (v) { return String(v); }).join(","));
 `
-	for _, engine := range Engines {
-		ip := parityInterp(t, flatAudit, engine, false)
+	var want string
+	for i, engine := range Engines {
+		ip := parityInterp(t, flatAudit, engine)
+		base := ip.Steps()
 		runResolved(t, ip, src)
-		if got := fmt.Sprint(ip.ConsoleOut); got != "[3,1,3,patched +,1,rebound,m,t]" {
+		if got := fmt.Sprint(ip.ConsoleOut); got != "[3,o,1,e1,3,3,more,object]" {
 			t.Fatalf("%v: logged %s", engine, got)
 		}
-		if engine == EngineVM && ip.tauFast(vm.TauOpOf("binaryOp")) != nil {
-			t.Fatal("the fast path is still armed after __t was rebound")
+		got := fmt.Sprintf("stats %+v steps %d", ip.Tracker.Stats(), ip.Steps()-base)
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("%v: %s, vm %s", engine, got, want)
 		}
 	}
 }

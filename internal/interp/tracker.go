@@ -68,9 +68,12 @@ func (Adapter) IsReference(v any) bool {
 	return false
 }
 
-// InstallTracker creates the inlined DIF Tracker for a policy and exposes
-// it to the application as the global __t object (the τ of Fig. 2b). It
-// returns the tracker for host-side inspection.
+// InstallTracker creates the inlined DIF Tracker for a policy and installs
+// its τ methods (the τ of Fig. 2b) as the targets of the application's
+// tracker calls (vm.TrackerOp). τ is not a value: no binding of the
+// program's, `__t` included, holds it, so application code reaches it
+// only through those calls. It returns the tracker for host-side
+// inspection.
 func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 	tr := dift.NewTracker(pol, Adapter{})
 	ip.Tracker = tr
@@ -78,12 +81,20 @@ func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 	if ip.Metrics != nil || ip.Tracer != nil {
 		tr.EnableTelemetry(ip.Metrics, ip.Tracer)
 	}
-	tau := NewObject()
-	tau.Class = "DIFTracker"
+	// tau installs one τ method under its op code. The VM hands these
+	// functions a pooled argument window that is recycled when they
+	// return. That is sound because none of them keeps the slice: they
+	// pass on its elements, or an argument array's own Elems, never args
+	// itself.
+	tau := func(name string, fn func(ip *Interp, this Value, args []Value) (Value, error)) *HostFunc {
+		hf := NewHostFunc(name, fn)
+		ip.tauFns[vm.TauOpOf(name)] = hf
+		return hf
+	}
 
 	// label(target, labellerName): evaluate and attach the value-dependent
 	// privacy label (Table 1).
-	tau.Set("label", NewHostFunc("label", func(ip *Interp, this Value, args []Value) (Value, error) {
+	tau("label", func(ip *Interp, this Value, args []Value) (Value, error) {
 		if len(args) < 2 {
 			return argOr(args, 0), nil
 		}
@@ -103,11 +114,11 @@ func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 			return nil, &Throw{Val: ip.MakeError("Error", err.Error())}
 		}
 		return out, nil
-	}))
+	})
 
 	// binaryOp(op, left, right): perform the operation and attach the
 	// compound label (Fig. 5 binaryOp rule).
-	tau.Set("binaryOp", NewHostFunc("binaryOp", func(ip *Interp, this Value, args []Value) (Value, error) {
+	tau("binaryOp", func(ip *Interp, this Value, args []Value) (Value, error) {
 		if len(args) < 3 {
 			return undef, nil
 		}
@@ -116,19 +127,19 @@ func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 			return nil, err
 		}
 		return tr.Derive(res, args[1], args[2]), nil
-	}))
+	})
 
 	// derive(result, ...sources): label a constructed value (object/array/
 	// template literals on privacy-sensitive paths).
-	tau.Set("derive", NewHostFunc("derive", func(ip *Interp, this Value, args []Value) (Value, error) {
+	tau("derive", func(ip *Interp, this Value, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return undef, nil
 		}
 		return tr.Derive(args[0], args[1:]...), nil
-	}))
+	})
 
 	// check(data, receiver): verify the flow is allowed.
-	tau.Set("check", NewHostFunc("check", func(ip *Interp, this Value, args []Value) (Value, error) {
+	tau("check", func(ip *Interp, this Value, args []Value) (Value, error) {
 		if len(args) < 2 {
 			return argOr(args, 0), nil
 		}
@@ -140,12 +151,12 @@ func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 			return nil, &Throw{Val: ip.MakeError("PrivacyViolation", err.Error())}
 		}
 		return args[0], nil
-	}))
+	})
 
 	// invoke(target, funcName, argsArray): flow-check the arguments against
 	// the (possibly dynamically labelled) receiver, invoke, and label the
 	// return value with the compound label of the arguments.
-	tau.Set("invoke", NewHostFunc("invoke", func(ip *Interp, this Value, args []Value) (Value, error) {
+	tau("invoke", func(ip *Interp, this Value, args []Value) (Value, error) {
 		if len(args) < 3 {
 			return undef, nil
 		}
@@ -185,10 +196,10 @@ func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 		// (frame.indexOf, frame.split, ... extract the receiver's data)
 		srcs := make([]Value, 0, len(callArgs.Elems)+1)
 		return tr.DeriveInvoke(ret, append(append(srcs, callArgs.Elems...), target)), nil
-	}))
+	})
 
 	// call(fn, argsArray): like invoke for bare function calls.
-	tau.Set("call", NewHostFunc("call", func(ip *Interp, this Value, args []Value) (Value, error) {
+	tau("call", func(ip *Interp, this Value, args []Value) (Value, error) {
 		if len(args) < 2 {
 			return undef, nil
 		}
@@ -214,13 +225,13 @@ func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 			return ret, nil
 		}
 		return tr.DeriveInvoke(ret, callArgs.Elems), nil
-	}))
+	})
 
 	// member(obj, name): read a property through the tracker — the Proxy
 	// interception of §4.4. Exhaustive instrumentation routes every
 	// property access through this trap; the result inherits the
 	// container's labels.
-	tau.Set("member", NewHostFunc("member", func(ip *Interp, this Value, args []Value) (Value, error) {
+	tau("member", func(ip *Interp, this Value, args []Value) (Value, error) {
 		if len(args) < 2 {
 			return undef, nil
 		}
@@ -229,54 +240,54 @@ func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 			return nil, err
 		}
 		return tr.Derive(v, args[0]), nil
-	}))
+	})
 
 	// track(v): wrap a value for tracking without labels (exhaustive mode).
-	tau.Set("track", NewHostFunc("track", func(ip *Interp, this Value, args []Value) (Value, error) {
+	tau("track", func(ip *Interp, this Value, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return undef, nil
 		}
 		return tr.Track(args[0]), nil
-	}))
+	})
 
 	// implicit-flow extension (§8): pc-scope management injected by the
 	// instrumentor's ImplicitFlows mode.
-	tau.Set("pushScope", NewHostFunc("pushScope", func(ip *Interp, this Value, args []Value) (Value, error) {
+	tau("pushScope", func(ip *Interp, this Value, args []Value) (Value, error) {
 		tr.PushScope()
 		return undef, nil
-	}))
-	tau.Set("pc", NewHostFunc("pc", func(ip *Interp, this Value, args []Value) (Value, error) {
+	})
+	tau("pc", func(ip *Interp, this Value, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return undef, nil
 		}
 		tr.PCCondition(args[0])
 		return args[0], nil
-	}))
-	tau.Set("popScope", NewHostFunc("popScope", func(ip *Interp, this Value, args []Value) (Value, error) {
+	})
+	tau("popScope", func(ip *Interp, this Value, args []Value) (Value, error) {
 		tr.PopScope()
 		return undef, nil
-	}))
-	tau.Set("assign", NewHostFunc("assign", func(ip *Interp, this Value, args []Value) (Value, error) {
+	})
+	tau("assign", func(ip *Interp, this Value, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return undef, nil
 		}
 		return tr.Assign(args[0]), nil
-	}))
+	})
 
 	// unwrap(v): strip tracking for explicit declassification points.
-	tau.Set("unwrap", NewHostFunc("unwrap", func(ip *Interp, this Value, args []Value) (Value, error) {
+	tau("unwrap", func(ip *Interp, this Value, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return undef, nil
 		}
 		return tr.UnwrapDeep(args[0]), nil
-	}))
+	})
 
 	// declassify(v, name) / endorse(v, name): the CNF extension's sanctioned
-	// downgrade and integrity-upgrade points (declass.go). Exposed both on τ
-	// and as plain globals so application code can call them like ordinary
-	// library functions; a refusal surfaces as PrivacyViolation in
+	// downgrade and integrity-upgrade points (declass.go). Exposed both as τ
+	// methods and as plain globals so application code can call them like
+	// ordinary library functions; a refusal surfaces as PrivacyViolation in
 	// enforcement mode and is recorded silently in audit mode.
-	declassFn := NewHostFunc("declassify", func(ip *Interp, this Value, args []Value) (Value, error) {
+	declassFn := tau("declassify", func(ip *Interp, this Value, args []Value) (Value, error) {
 		if len(args) < 2 {
 			return argOr(args, 0), nil
 		}
@@ -286,7 +297,7 @@ func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 		}
 		return out, nil
 	})
-	endorseFn := NewHostFunc("endorse", func(ip *Interp, this Value, args []Value) (Value, error) {
+	endorseFn := tau("endorse", func(ip *Interp, this Value, args []Value) (Value, error) {
 		if len(args) < 2 {
 			return argOr(args, 0), nil
 		}
@@ -296,27 +307,8 @@ func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 		}
 		return out, nil
 	})
-	tau.Set("declassify", declassFn)
-	tau.Set("endorse", endorseFn)
 	ip.Globals.Define("declassify", declassFn, false)
 	ip.Globals.Define("endorse", endorseFn, false)
-
-	ip.Globals.Define("__t", tau, false)
-
-	// snapshot for the VM's fused __t.* call opcode: the built-in methods
-	// by op code plus the version the object had at install time. Any
-	// later mutation of τ or dynamic rebinding of __t invalidates the fast
-	// path (see OpTrackerCall). The fast path hands these functions a
-	// pooled argument window that is recycled when they return. That is
-	// sound because none of them keeps the slice: they pass on its
-	// elements, or an argument array's own Elems, never args itself.
-	ip.tauObj = tau
-	ip.tauVer = tau.version
-	ip.tauRebound = false
-	for op := 1; op < len(vm.TauMethods); op++ {
-		fn, _ := tau.GetOwn(vm.TauMethods[op])
-		ip.tauFns[op], _ = fn.(*HostFunc)
-	}
 	return tr
 }
 

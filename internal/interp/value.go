@@ -1,9 +1,9 @@
 // Package interp is a tree-walking interpreter for MiniJS — the "runtime
 // platform" substrate of the reproduction. It stands in for Node.js: it
 // executes original and instrumented application code identically, hosts
-// the stand-in I/O modules (fs, net, http, mqtt, smtp, sqlite), and wires
-// the inlined DIF Tracker into instrumented applications via the __t host
-// object.
+// the stand-in I/O modules (fs, net, http, mqtt, smtp, sqlite), and serves
+// instrumented applications' tracker calls (`__t.<method>(...)`, see
+// vm.TrackerOp) from the inlined DIF Tracker.
 package interp
 
 import (

@@ -389,24 +389,6 @@ func TestICVersionWraparound(t *testing.T) {
 	}
 }
 
-// TestTrackerFusionRebindFallback pins the fused __t fast path's safety
-// valves: a dynamic rebinding of __t or a mutation of the tracker object
-// must drop OpTrackerCall back to the generic lookup path.
-func TestTrackerFusionRebindFallback(t *testing.T) {
-	ip := New()
-	ip.defineVar(ip.Globals, "__t", nil, "shadow", false)
-	if !ip.tauRebound {
-		t.Fatal("defineVar of __t did not latch tauRebound")
-	}
-	ip2 := New()
-	if err := ip2.assignIdent(ip2.Globals, "__t", nil, "shadow"); err != nil {
-		t.Fatal(err)
-	}
-	if !ip2.tauRebound {
-		t.Fatal("assignIdent of __t did not latch tauRebound")
-	}
-}
-
 // TestVMBudgetParity: guard budget trips must fire at the same step with
 // the same site attribution under both engines.
 func TestVMBudgetParity(t *testing.T) {

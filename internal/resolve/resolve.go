@@ -27,9 +27,11 @@
 // surrounding scope rather than a scope of their own.
 //
 // The global (program) scope is deliberately dynamic: host modules, the
-// tracker's __t object, module shims and sloppy-mode implicit globals are
-// injected there at arbitrary times, so top-level names always take the
-// map path. A name that resolves nowhere (a global or a genuinely
+// declassify/endorse globals, module shims and sloppy-mode implicit
+// globals are injected there at arbitrary times, so top-level names
+// always take the map path. The tracker is not among them: a tracker
+// call is recognised by its syntax (vm.TrackerOp), whatever `__t`
+// resolves to. A name that resolves nowhere (a global or a genuinely
 // undefined name) gets a nil Ref.
 package resolve
 

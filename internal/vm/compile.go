@@ -648,19 +648,14 @@ func (cc *chunkCompiler) expr(e ast.Expr) int32 {
 }
 
 // call compiles a call expression. Argument registers are consecutive;
-// the packed C operand is base<<16|argc. Calls on the unshadowed `__t`
-// tracker global fuse into OpTrackerCall.
+// the packed C operand is base<<16|argc. Tracker calls (TrackerOp) fuse
+// into OpTrackerCall.
 func (cc *chunkCompiler) call(x *ast.CallExpr) int32 {
 	if hasSpread(x.Args) || cc.ntmp > 0x3fff || len(x.Args) > 0xffff {
 		return cc.delegate(x)
 	}
 	mem, isMem := x.Callee.(*ast.MemberExpr)
-	tracker := false
-	if isMem && !mem.Computed {
-		if id, ok := mem.Object.(*ast.Ident); ok && id.Name == "__t" && id.Ref == nil {
-			tracker = true
-		}
-	}
+	tau := TrackerOp(x)
 	cc.charge(x.Pos())
 	dst := cc.push()
 	base := cc.ntmp
@@ -669,12 +664,11 @@ func (cc *chunkCompiler) call(x *ast.CallExpr) int32 {
 	}
 	packed := base<<16 | int32(len(x.Args))
 	switch {
-	case tracker:
-		// The tree-walker would now eval the `__t` ident (one step charge)
-		// then do the IC method dispatch; the fused opcode keeps the charge
-		// and replaces the lookup by an op code resolved here.
+	case tau != 0:
+		// both engines charge the step that evaluating the `__t` ident
+		// would, then dispatch by op code
 		cc.charge(mem.Object.Pos())
-		site := &CallSite{Node: x, Mem: mem, Name: mem.Property, Tau: TauOpOf(mem.Property)}
+		site := &CallSite{Node: x, Mem: mem, Name: mem.Property, Tau: tau}
 		cc.emit(OpTrackerCall, dst, 0, packed, cc.konst(site))
 	case isMem && !mem.Computed:
 		recv := cc.expr(mem.Object)

@@ -82,15 +82,17 @@ func TestTauOpCodesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestShadowedTrackerIsNotFused(t *testing.T) {
+// TestShadowedTrackerIsFused: a tracker call is syntax, so a site whose
+// `__t` resolves to a local variable still fuses.
+func TestShadowedTrackerIsFused(t *testing.T) {
 	m := compileSrc(t, `
 function f() {
   var __t = { check: function (d) { return d; } };
   return __t.check(1, 2);
 }
 f();`)
-	if in, _ := siteOf(t, m, "check"); in.Op != OpCallMethod {
-		t.Fatalf("shadowed local __t.check compiled to op %d, want OpCallMethod", in.Op)
+	if in, site := siteOf(t, m, "check"); in.Op != OpTrackerCall || site.Tau != TauOpOf("check") {
+		t.Fatalf("shadowed local __t.check compiled to op %d (τ op %d), want OpTrackerCall", in.Op, site.Tau)
 	}
 }
 
@@ -102,14 +104,43 @@ func TestComputedTrackerMemberIsNotFused(t *testing.T) {
 	}
 }
 
+// TestUnknownTrackerMethodGetsOpZero: `__t.<m>` naming no τ method is
+// no tracker call; it compiles to an ordinary method call.
 func TestUnknownTrackerMethodGetsOpZero(t *testing.T) {
 	m := compileSrc(t, `__t.foo(1);`)
 	in, site := siteOf(t, m, "foo")
-	if in.Op != OpTrackerCall {
-		t.Fatalf("__t.foo compiled to op %d, want OpTrackerCall", in.Op)
+	if op := TrackerOp(site.Node); op != 0 {
+		t.Fatalf("TrackerOp(__t.foo) = %d, want 0", op)
 	}
-	if site.Tau != 0 {
-		t.Fatalf("unknown method got op code %d, want 0", site.Tau)
+	if in.Op != OpCallMethod {
+		t.Fatalf("__t.foo compiled to op %d, want OpCallMethod", in.Op)
+	}
+}
+
+// TestTrackerOp: the rule needs the name __t, a non-computed member and a
+// τ method; nothing else about the call matters.
+func TestTrackerOp(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want TauOp
+	}{
+		{`__t.label(x, "L")`, TauOpOf("label")},
+		{`__t.endorse()`, TauOpOf("endorse")},
+		{`__t.foo(x)`, 0},
+		{`__t["check"](x)`, 0},
+		{`t.check(x)`, 0},
+		{`__t(x)`, 0},
+		{`a.__t.check(x)`, 0},
+		{`(0, __t).check(x)`, 0},
+	} {
+		prog, err := parser.Parse("op.js", c.src+";")
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := prog.Body[0].(*ast.ExprStmt).X.(*ast.CallExpr)
+		if got := TrackerOp(x); got != c.want {
+			t.Errorf("TrackerOp(%s) = %d, want %d", c.src, got, c.want)
+		}
 	}
 }
 

@@ -13,11 +13,12 @@
 // (switch, for-in, class declarations, new, spread, compound member
 // assignment, typeof/delete) compile to delegation opcodes that call
 // straight back into the tree-walker for that one node — parity on those
-// paths is by construction, not by reimplementation. DIF tracker calls
-// (`__t.method(...)` against the unshadowed global) compile to a fused
-// OpTrackerCall carrying the method's op code (TauOp), so the
-// instrumented hot path pays one dispatch instead of an environment walk
-// plus method lookup per tracker operation.
+// paths is by construction, not by reimplementation. A DIF tracker call
+// is syntax, not a value: `__t.<method>(...)` naming one of TauMethods
+// (TrackerOp) compiles to a fused OpTrackerCall carrying the method's op
+// code, which the interpreter dispatches straight to the installed
+// tracker whatever the name `__t` is bound to. The tracker is not in the
+// program's heap, so no program can rebind, alias or patch it.
 package vm
 
 import "turnstile/internal/ast"
@@ -72,7 +73,7 @@ const (
 	OpCall                  // A=dst, B=callee, C=base<<16|argc, D=const(*CallSite)
 	OpCallMethod            // A=dst, B=recv, C=base<<16|argc, D=const(*CallSite); IC dispatch
 	OpCallMethodC           // A=dst, B=recv (index in B+1), C=base<<16|argc, D=const(*CallSite)
-	OpTrackerCall           // A=dst, C=base<<16|argc, D=const(*CallSite) — fused __t.* site
+	OpTrackerCall           // A=dst, C=base<<16|argc, D=const(*CallSite) — tracker call (TrackerOp)
 	OpEvalExpr              // A=dst, B=const(ast.Expr) — delegate to tree-walk eval
 	OpExecStmt              // A=const(ast.Stmt), B=break edge, C=continue edge (-1 none)
 	OpTry                   // A=const(*TryInfo), B=break edge, C=continue edge
@@ -109,12 +110,15 @@ type CallSite struct {
 	Node *ast.CallExpr
 	Mem  *ast.MemberExpr // non-nil for method calls
 	Name string          // static (non-computed) method name
-	Tau  TauOp           // OpTrackerCall only: the τ method's op code
+	Tau  TauOp           // OpTrackerCall only: the τ method's op code (never 0)
 }
 
+// TrackerName is the name through which instrumented code calls the DIF
+// tracker (τ): a call TrackerName.<method>(...) is a tracker call.
+const TrackerName = "__t"
+
 // TauOp is the compile-time op code of a DIF tracker (τ) method, the
-// index of its name in TauMethods. Op 0 names no built-in method: such
-// sites take the generic lookup path at run time.
+// index of its name in TauMethods. Op 0 names no τ method.
 type TauOp uint8
 
 // TauMethods lists the τ methods the interpreter's InstallTracker
@@ -133,6 +137,23 @@ func TauOpOf(name string) TauOp {
 		}
 	}
 	return 0
+}
+
+// TrackerOp reports whether a call is a tracker call, the one rule both
+// engines apply: a non-computed `__t.<m>(...)` where m is one of
+// TauMethods. It returns m's op code, or 0 for any other call. The rule
+// is syntactic: what the name `__t` is bound to, if anything, plays no
+// part, so a program can shadow or rebind `__t` but never reach τ
+// through it.
+func TrackerOp(x *ast.CallExpr) TauOp {
+	mem, ok := x.Callee.(*ast.MemberExpr)
+	if !ok || mem.Computed {
+		return 0
+	}
+	if id, ok := mem.Object.(*ast.Ident); !ok || id.Name != TrackerName {
+		return 0
+	}
+	return TauOpOf(mem.Property)
 }
 
 // DefineSite is the compile-time constant for a variable declaration.
