@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"turnstile/internal/instrument"
+	"turnstile/internal/interp"
 	"turnstile/internal/taint"
 )
 
@@ -120,6 +121,35 @@ func TestManageExhaustiveMode(t *testing.T) {
 	}
 	if err := app.Emit("net.socket:sensor:7", "data", "y"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExhaustiveCallThroughArrayElement: exhaustive mode routes a call
+// through an array element, fmts[0](reading), to τ.invoke, which must call
+// the element rather than look for an array method named "0".
+func TestExhaustiveCallThroughArrayElement(t *testing.T) {
+	src := strings.Replace(pipelineApp, `log.write("r=" + reading);`,
+		`const fmts = [function (v) { return "r=" + v; }];
+  log.write(fmts[0](reading));`, 1)
+	for _, engine := range interp.Engines {
+		t.Run(engine.String(), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Mode = instrument.Exhaustive
+			opts.Engine = engine
+			app, err := Manage(map[string]string{"app.js": src}, pipelinePolicy, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(app.Instrumented["app.js"], "__t.invoke(fmts, __t.track(0), [reading]") {
+				t.Fatalf("the element call is not routed through τ.invoke:\n%s", app.Instrumented["app.js"])
+			}
+			if err := app.Emit("net.socket:sensor:7", "data", "42"); err != nil {
+				t.Fatal(err)
+			}
+			if w := app.Writes(); len(w) != 1 || w[0].Value != "r=42" {
+				t.Fatalf("writes = %+v, want r=42", w)
+			}
+		})
 	}
 }
 

@@ -89,6 +89,15 @@ func (ip *Interp) CallMethod(recv Value, name string, args []Value, pos ast.Pos)
 	case float64:
 		return ip.numberMethod(r, name, args, pos)
 	case *Array:
+		// an index name (fns[0](x)) calls the element, read as GetMember
+		// reads it, with the array as `this`
+		if idx, err := strconv.Atoi(name); err == nil {
+			var el Value = undef
+			if idx >= 0 && idx < len(r.Elems) {
+				el = r.Elems[idx]
+			}
+			return ip.CallFunction(el, r, args, pos)
+		}
 		return ip.arrayMethod(r, name, args, pos)
 	case *Object:
 		if v, ok := r.Get(name); ok {
@@ -219,7 +228,7 @@ func (ip *Interp) invokeBody(decl *ast.FuncLit, code *vm.Chunk, closure *Env, th
 	pooledEnv := vmBody && code.NoCapture && decl.Scope != nil
 	var env *Env
 	if pooledEnv {
-		env = ip.getCallEnv(closure, decl.Scope)
+		env = ip.getEnv(closure, decl.Scope)
 	} else {
 		env = newEnvFor(closure, decl.Scope)
 	}
@@ -261,7 +270,7 @@ func (ip *Interp) invokeBody(decl *ast.FuncLit, code *vm.Chunk, closure *Env, th
 	if vmBody {
 		c, v, err := ip.runChunk(code, env)
 		if pooledEnv {
-			ip.putCallEnv(env)
+			ip.putEnv(env)
 		}
 		if err != nil {
 			return nil, err

@@ -127,19 +127,25 @@ func (ip *Interp) putFrame(f *vmFrame) {
 	}
 }
 
-// getCallEnv pops a pooled call environment re-initialized for scope
-// (non-nil, slot-resolved), behaving exactly like NewScopeEnv: all slots
-// unbound, no maps, no const tracking. Only invoked for chunks whose
-// compiled body cannot capture the environment (vm.Chunk.NoCapture), so
-// recycling after the call is sound.
-func (ip *Interp) getCallEnv(parent *Env, scope *ast.ScopeInfo) *Env {
+// getEnv pops a pooled environment re-initialized for scope, behaving
+// exactly like newEnvFor: all slots unbound, no maps, no const flags set.
+// A recycled const-flag slice is kept and cleared rather than dropped, so
+// a re-entered block's `const` does not allocate it again. Only chunks
+// whose compiled body cannot capture an environment (vm.Chunk.NoCapture)
+// use the pool, for their call environment and their block scopes: no
+// closure can hold an environment of such a chunk, so one that its
+// frame has left is dead and can be reused.
+func (ip *Interp) getEnv(parent *Env, scope *ast.ScopeInfo) *Env {
 	k := len(ip.envPool)
 	if k == 0 {
-		return NewScopeEnv(parent, scope)
+		return newEnvFor(parent, scope)
 	}
 	e := ip.envPool[k-1]
 	ip.envPool = ip.envPool[:k-1]
-	n := scope.NumSlots()
+	n := 0
+	if scope != nil {
+		n = scope.NumSlots()
+	}
 	if n > cap(e.slots) {
 		e.slots = make([]Value, n)
 	} else {
@@ -148,22 +154,35 @@ func (ip *Interp) getCallEnv(parent *Env, scope *ast.ScopeInfo) *Env {
 	for i := range e.slots {
 		e.slots[i] = unboundSlot{}
 	}
+	if n > cap(e.slotConsts) {
+		e.slotConsts = nil
+	} else if e.slotConsts != nil {
+		e.slotConsts = e.slotConsts[:n]
+		clear(e.slotConsts)
+	}
 	e.parent, e.scope = parent, scope
-	e.slotConsts, e.vars, e.consts = nil, nil, nil
 	return e
 }
 
-// putCallEnv clears slot references and returns the environment to the
-// pool.
-func (ip *Interp) putCallEnv(e *Env) {
-	for i := range e.slots {
-		e.slots[i] = nil
-	}
+// putEnv clears the environment's references and returns it to the pool.
+func (ip *Interp) putEnv(e *Env) {
+	clear(e.slots)
 	e.parent, e.scope = nil, nil
-	e.slotConsts, e.vars, e.consts = nil, nil, nil
+	e.vars, e.consts = nil, nil
 	if len(ip.envPool) < 64 {
 		ip.envPool = append(ip.envPool, e)
 	}
+}
+
+// popEnvsPooled is popEnvs for a NoCapture chunk: every block scope it
+// leaves goes back to the pool.
+func (ip *Interp) popEnvsPooled(env *Env, n int32) *Env {
+	for ; n > 0; n-- {
+		p := env.parent
+		ip.putEnv(env)
+		env = p
+	}
+	return env
 }
 
 // vmArgs materializes the packed argument window like callArgs, but may
@@ -407,7 +426,7 @@ func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value
 			if x.Op == "--" {
 				next = n - 1
 			}
-			if err := ip.assignIdent(env, id.Name, id.Ref, next); err != nil {
+			if err := ip.assignIdent(env, id.Name, id.Ref, boxFloat(next)); err != nil {
 				return ctrlNormal, nil, &RuntimeError{Msg: err.Error(), Pos: id.Pos()}
 			}
 			if x.Prefix {
@@ -837,13 +856,31 @@ func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value
 				pc = int(e.PC) - 1
 			}
 		case vm.OpPushScope:
-			env = newEnvFor(env, ch.Scopes[in.B])
+			// a NoCapture chunk recycles its block scopes (see getEnv);
+			// blocks left by return or a throw go to the GC instead
+			if ch.NoCapture {
+				env = ip.getEnv(env, ch.Scopes[in.B])
+			} else {
+				env = newEnvFor(env, ch.Scopes[in.B])
+			}
 		case vm.OpPopScope:
-			env = env.parent
+			if ch.NoCapture {
+				env = ip.popEnvsPooled(env, 1)
+			} else {
+				env = env.parent
+			}
 		case vm.OpPopN:
-			env = popEnvs(env, in.A)
+			if ch.NoCapture {
+				env = ip.popEnvsPooled(env, in.A)
+			} else {
+				env = popEnvs(env, in.A)
+			}
 		case vm.OpIterCopy:
-			env = env.IterCopy()
+			// with no closure to hold the old environment, a copy of the
+			// same bindings cannot be observed
+			if !ch.NoCapture {
+				env = env.IterCopy()
+			}
 		case vm.OpRet:
 			return ctrlReturn, rval(regs, fregs, ftag, in.A), nil
 		case vm.OpRetUndef:

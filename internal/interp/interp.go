@@ -137,9 +137,9 @@ type Interp struct {
 	funcCode map[*ast.FuncLit]*vm.Chunk
 	// framePool recycles register files across chunk invocations (LIFO,
 	// so nested calls reuse the hottest frames); envPool and argPool do
-	// the same for call environments and argument slices on calls whose
-	// compiled body provably cannot capture them (Chunk.NoCapture,
-	// Chunk.NeedsArguments)
+	// the same for environments (a call's and its block scopes') and
+	// argument slices where the compiled body provably cannot capture
+	// them (Chunk.NoCapture, Chunk.NeedsArguments)
 	framePool []*vmFrame
 	envPool   []*Env
 	argPool   [][]Value

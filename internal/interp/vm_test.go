@@ -8,6 +8,7 @@ import (
 	"turnstile/internal/ast"
 	"turnstile/internal/parser"
 	"turnstile/internal/resolve"
+	"turnstile/internal/vm"
 )
 
 // The bytecode VM must be observationally identical to the tree-walker:
@@ -32,17 +33,12 @@ func runVMMode(t *testing.T, src string, engine Engine, noResolve bool) (*Interp
 }
 
 // vmTriModes asserts VM, tree-walk and map-walk agree on console output,
-// error text and step count for src.
-func vmTriModes(t *testing.T, src string) {
+// error text and step count for src, and returns the VM's run.
+func vmTriModes(t *testing.T, src string) engineRun {
 	t.Helper()
-	type out struct {
-		logs  []string
-		err   string
-		steps int64
-	}
-	obs := func(engine Engine, noResolve bool) out {
+	obs := func(engine Engine, noResolve bool) engineRun {
 		ip, err := runVMMode(t, src, engine, noResolve)
-		o := out{logs: ip.ConsoleOut, steps: ip.Steps()}
+		o := engineRun{logs: ip.ConsoleOut, steps: ip.Steps()}
 		if err != nil {
 			o.err = err.Error()
 		}
@@ -63,6 +59,15 @@ func vmTriModes(t *testing.T, src string) {
 		t.Fatalf("vm/map-walk divergence\nvm:  %v err=%q\nmap: %v err=%q\nsource:\n%s",
 			vmOut.logs, vmOut.err, mapOut.logs, mapOut.err, src)
 	}
+	return vmOut
+}
+
+// engineRun is what one engine run shows: console lines, the error text
+// ("" for none) and the step count.
+type engineRun struct {
+	logs  []string
+	err   string
+	steps int64
 }
 
 func TestVMIsActuallyExercised(t *testing.T) {
@@ -248,9 +253,157 @@ func TestVMConstructMatrix(t *testing.T) {
 		"negative-unary": `
 			var n = "5";
 			console.log(-n, +n, !n, ~n, -"x");`,
+		"element-call": `
+			const fns = [function (x) { return x + 1; }, function (x) { return x * this.length; }];
+			var out = "";
+			for (var k = 0; k < fns.length; k++) { out = out + fns[k](5) + ","; }
+			console.log("" + fns[0](1), out, fns["1"](3));`,
+		"element-call-not-function": `var a = [1]; a[0](2);`,
+		"element-call-missing":      `var a = []; a[3](2);`,
+	}
+	for name, src := range recycledScopeRows {
+		cases[name] = src
+	}
+	// rows whose result is pinned, not only compared across engines
+	want := map[string]engineRun{
+		"let-capture":               {logs: []string{"0 1 2"}},
+		"element-call":              {logs: []string{"2 6,10, 6"}},
+		"element-call-not-function": {err: "runtime error at 1:14: number is not a function"},
+		"element-call-missing":      {err: "runtime error at 1:13: undefined is not a function"},
+		"recycled-block-unbound":    {logs: []string{"outer,0;outer,1;outer,2;"}},
+		"recycled-const-flags":      {logs: []string{"0:10,1:11,2:12,"}},
+		"recycled-popn":             {logs: []string{"0,4,6, 0,4,"}},
+		"recycled-return":           {logs: []string{"30 40 1020"}},
+		"recycled-throw":            {logs: []string{"at 2 done 5 at 1 done 9"}},
+		"recycled-recursion":        {logs: []string{"31"}},
 	}
 	for name, src := range cases {
-		t.Run(name, func(t *testing.T) { vmTriModes(t, src) })
+		t.Run(name, func(t *testing.T) {
+			got := vmTriModes(t, src)
+			if w, ok := want[name]; ok && (fmt.Sprint(got.logs) != fmt.Sprint(w.logs) || got.err != w.err) {
+				t.Fatalf("console %q err %q, want console %q err %q", got.logs, got.err, w.logs, w.err)
+			}
+		})
+	}
+}
+
+// recycledScopeRows run their loops in function chunks that cannot capture
+// their environment (vm.Chunk.NoCapture), whose block scopes the VM takes
+// from and returns to its environment pool and whose `for (let …)`
+// bindings it does not copy per iteration: a re-entered block starts
+// unbound, a scope that reuses a const's environment can assign its own
+// let, OpPopN and the fall-through pop return every scope, and a return,
+// a throw or a recursive call in the middle of a loop leaves the pool
+// sound for the next call.
+var recycledScopeRows = map[string]string{
+	"recycled-block-unbound": `
+		var x = "outer";
+		function f() {
+			var seen = "";
+			for (let i = 0; i < 3; i++) {
+				{
+					seen = seen + x + ",";
+					let x = i;
+					seen = seen + x + ";";
+				}
+			}
+			return seen;
+		}
+		console.log(f());`,
+	"recycled-const-flags": `
+		function k(n) {
+			var out = "";
+			for (let i = 0; i < n; i++) {
+				{ const c = i; out = out + c; }
+				{ let v = i; v = v + 10; out = out + ":" + v + ","; }
+			}
+			return out;
+		}
+		console.log(k(3));`,
+	"recycled-popn": `
+		function g(n) {
+			var log = "";
+			for (let i = 0; i < n; i++) {
+				{
+					let a = i;
+					{
+						const b = a * 2;
+						if (b === 2) continue;
+						if (b === 8) break;
+						log = log + b + ",";
+					}
+				}
+			}
+			return log;
+		}
+		console.log(g(10), g(3));`,
+	"recycled-return": `
+		function h(n) {
+			for (let i = 0; i < 5; i++) {
+				{
+					let a = i + n;
+					{
+						const b = a * 10;
+						if (i === 2) return b;
+					}
+				}
+			}
+			return -1;
+		}
+		console.log(h(1), h(2), h(100));`,
+	"recycled-throw": `
+		function t(n) {
+			for (let i = 0; i < 3; i++) {
+				{
+					let a = i;
+					{
+						const b = a + n;
+						if (b === 2) throw "at " + i;
+					}
+				}
+			}
+			return "done " + n;
+		}
+		function call(n) { try { return t(n); } catch (e) { return e; } }
+		console.log(call(0), call(5), call(1), call(9));`,
+	"recycled-recursion": `
+		function r(n) {
+			var s = 0;
+			for (let i = 0; i < n; i++) {
+				{
+					const c = r(i);
+					s = s + c + 1;
+				}
+			}
+			return s;
+		}
+		console.log(r(5));`,
+}
+
+// TestRecycledScopeRowsRunNoCapture keeps recycledScopeRows from going
+// vacuous: each row compiles a NoCapture chunk that opens a block scope
+// and copies a loop binding per iteration, and the PopN row pops through
+// OpPopN.
+func TestRecycledScopeRowsRunNoCapture(t *testing.T) {
+	for name, src := range recycledScopeRows {
+		prog, err := parser.Parse("vm.js", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resolve.Resolve(prog)
+		found := false
+		for _, ch := range vm.Compile(prog).Funcs {
+			ops := map[vm.Op]bool{}
+			for _, in := range ch.Code {
+				ops[in.Op] = true
+			}
+			if ch.NoCapture && ops[vm.OpPushScope] && ops[vm.OpIterCopy] && (name != "recycled-popn" || ops[vm.OpPopN]) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("%s: no NoCapture chunk recycles a block scope", name)
+		}
 	}
 }
 
@@ -469,5 +622,49 @@ func TestIdentCachePerInterpreter(t *testing.T) {
 	}
 	if v := call(); v != "shadow" {
 		t.Fatalf("read() after shadowing = %v", v)
+	}
+}
+
+// TestLoopIterationsDoNotAllocate pins the VM's recycling of block scopes
+// in chunks that cannot capture their environment (vm.Chunk.NoCapture): a
+// `for (let …)` body that opens a block with two consts and counts with
+// `i++` costs the same allocations per call at 10 and at 400 iterations.
+// Every value stays below 1024, so each number it stores is an interned
+// box.
+func TestLoopIterationsDoNotAllocate(t *testing.T) {
+	prog, err := parser.Parse("loop.js", `
+function loop(n) {
+  var acc = 0;
+  for (let i = 0; i < n; i++) {
+    const a = i * 2;
+    const b = a + 1;
+    acc = acc + b - a;
+  }
+  return acc;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve.Resolve(prog)
+	ip := New()
+	if err := ip.Run(prog); err != nil {
+		t.Fatal(err)
+	}
+	fnV, _ := ip.Globals.Lookup("loop")
+	fn := fnV.(*Function)
+	if fn.Code == nil || !fn.Code.NoCapture {
+		t.Fatal("loop does not run as a NoCapture chunk: the gate is vacuous")
+	}
+	allocs := func(n float64) float64 {
+		args := []Value{n}
+		return testing.AllocsPerRun(50, func() {
+			v, err := ip.CallFunction(fn, undef, args, ast.Pos{})
+			if err != nil || v != n {
+				t.Fatalf("loop(%v) = %v, %v", n, v, err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(400); many != few {
+		t.Fatalf("loop allocates %.0f times per call at n = 10 and %.0f at n = 400", few, many)
 	}
 }

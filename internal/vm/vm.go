@@ -77,10 +77,10 @@ const (
 	OpEvalExpr              // A=dst, B=const(ast.Expr) — delegate to tree-walk eval
 	OpExecStmt              // A=const(ast.Stmt), B=break edge, C=continue edge (-1 none)
 	OpTry                   // A=const(*TryInfo), B=break edge, C=continue edge
-	OpPushScope             // B=scope index — env = newEnvFor(env, scope)
+	OpPushScope             // B=scope index — env = newEnvFor(env, scope), pooled in a NoCapture chunk
 	OpPopScope              // env = env.parent
 	OpPopN                  // A=count — env walks up A parents
-	OpIterCopy              // env = env.IterCopy() (per-iteration let/const bindings)
+	OpIterCopy              // env = env.IterCopy() (per-iteration let/const bindings); a no-op in a NoCapture chunk
 	OpRet                   // A=src
 	OpRetUndef              //
 	OpCtrl                  // A=1 break, A=2 continue — chunk completion
@@ -199,8 +199,12 @@ type Chunk struct {
 	// reference to its environment chain that outlives the call: the
 	// code contains no closure creation, no hoisted declarations, and no
 	// delegated tree-walk regions or try sub-chunks (which could contain
-	// either). The interpreter recycles call environments for such
-	// chunks.
+	// either). The interpreter recycles such a chunk's call environment
+	// and the block scopes it opens through its env pool, and runs its
+	// OpIterCopy as a no-op: no closure can hold the old environment, so
+	// a copy of the same bindings cannot be observed. Only function
+	// chunks are analysed; the top-level chunk and try sub-chunks keep
+	// NoCapture false.
 	NoCapture bool
 }
 
