@@ -271,6 +271,31 @@ func (g *Guard) Step(n int64, site string) error {
 	return nil
 }
 
+// StepN charges n steps at once when that is exactly what n calls of
+// Step(1, …) would do: it charges only if none of those calls would trip a
+// budget or read the clock, that is, when the guard has not tripped, the
+// fuel budget has room for all n steps, and either no deadline is armed
+// or fuelUsed crosses no multiple of the deadline check interval on the
+// way to fuelUsed+n. Then it adds n to fuelUsed and returns true, leaving
+// the guard in the state the n single steps would. Otherwise it returns
+// false and leaves the guard unchanged, so the caller charges step by step
+// and a trip surfaces at the exact step it would have. A nil guard has no
+// budgets: it returns true.
+func (g *Guard) StepN(n int64) bool {
+	if g == nil {
+		return true
+	}
+	used := g.fuelUsed + n
+	if g.tripped != nil || g.lim.Fuel > 0 && used > g.lim.Fuel {
+		return false
+	}
+	if g.lim.DeadlineTicks > 0 && g.lim.Now != nil && used/deadlineCheckInterval != g.fuelUsed/deadlineCheckInterval {
+		return false
+	}
+	g.fuelUsed = used
+	return true
+}
+
 // CheckDeadline reads the virtual clock immediately (used at timer and
 // host-op boundaries, where the clock actually advances).
 func (g *Guard) CheckDeadline(site string) error {

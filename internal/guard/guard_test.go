@@ -14,6 +14,9 @@ func TestNilGuardIsNoGovernance(t *testing.T) {
 	if err := g.Step(1, "x"); err != nil {
 		t.Fatalf("nil guard Step: %v", err)
 	}
+	if !g.StepN(1 << 40) {
+		t.Fatal("nil guard refused a StepN batch")
+	}
 	if err := g.Enter("x"); err != nil {
 		t.Fatalf("nil guard Enter: %v", err)
 	}
@@ -277,4 +280,89 @@ func TestResetRebasesDeadlineWindow(t *testing.T) {
 func TestResetOnNilGuard(t *testing.T) {
 	var g *Guard
 	g.Reset() // must not panic
+}
+
+// StepN batches only what single steps would do without a trip or a clock
+// read. The table compares it with n calls of Step(1, …) on an identical
+// guard from every starting fuel in [0, 600) (past two deadline check
+// intervals), for every batch size up to 40, against fuel budgets just
+// below, at and above the batch's end (and unlimited), with no deadline, a
+// deadline whose clock never trips and one already past, on fresh and
+// already-tripped guards.
+func TestStepNIsExactlyNSingleSteps(t *testing.T) {
+	type clock struct {
+		name  string
+		armed bool
+		now   int64
+	}
+	clocks := []clock{{"none", false, 0}, {"within", true, 0}, {"past", true, 100}}
+	// build returns a guard with u fuel used and a counter of its clock
+	// reads.
+	build := func(u, fuel int64, c clock, tripped bool) (*Guard, *int) {
+		reads := new(int)
+		lim := Limits{Fuel: fuel}
+		if tripped {
+			lim.MaxAlloc = 1
+		}
+		if c.armed {
+			lim.DeadlineTicks = 50
+			lim.Now = func() int64 { *reads++; return c.now }
+		}
+		g := New(lim)
+		g.fuelUsed = u
+		if tripped {
+			_ = g.Alloc(2, "pre")
+		}
+		return g, reads
+	}
+	type state struct {
+		fuel, depth, alloc, base int64
+		tripped                  *BudgetError
+	}
+	snap := func(g *Guard) state {
+		return state{g.fuelUsed, g.depth, g.allocUsed, g.deadlineBase, g.tripped}
+	}
+	var charged, refused int
+	for u := int64(0); u < 600; u++ {
+		for n := int64(1); n <= 40; n++ {
+			for _, fuel := range []int64{0, u + n - 1, u + n, u + n + 1} {
+				for _, c := range clocks {
+					for _, tripped := range []bool{false, true} {
+						single, singleReads := build(u, fuel, c, tripped)
+						clean := true
+						for k := int64(0); k < n; k++ {
+							if single.Step(1, "") != nil {
+								clean = false
+							}
+						}
+						clean = clean && *singleReads == 0
+						batch, batchReads := build(u, fuel, c, tripped)
+						before := snap(batch)
+						ok := batch.StepN(n)
+						where := fmt.Sprintf("u=%d n=%d fuel=%d clock=%s tripped=%v", u, n, fuel, c.name, tripped)
+						if ok != clean {
+							t.Fatalf("%s: StepN = %v, single steps clean = %v", where, ok, clean)
+						}
+						if *batchReads != 0 {
+							t.Fatalf("%s: StepN read the clock %d times", where, *batchReads)
+						}
+						if ok && (batch.FuelUsed() != single.FuelUsed() || *batchReads != *singleReads) {
+							t.Fatalf("%s: batch used %d fuel, single steps %d", where, batch.FuelUsed(), single.FuelUsed())
+						}
+						if !ok && snap(batch) != before {
+							t.Fatalf("%s: refused StepN changed the guard: %+v, was %+v", where, snap(batch), before)
+						}
+						if ok {
+							charged++
+						} else {
+							refused++
+						}
+					}
+				}
+			}
+		}
+	}
+	if charged == 0 || refused == 0 {
+		t.Fatalf("%d batches charged, %d refused: the table is vacuous", charged, refused)
+	}
 }

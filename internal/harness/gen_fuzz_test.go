@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"turnstile/internal/corpus"
+	"turnstile/internal/guard"
 	"turnstile/internal/instrument"
 	"turnstile/internal/interp"
 )
@@ -46,8 +47,10 @@ func FuzzGenCorpus(f *testing.F) {
 // text, and tracker statistics. The config byte picks the deployment:
 // bit 0 selective (else exhaustive) instrumentation, bit 1 implicit-flow
 // tracking off, so selective code and code outside a pc scope are fuzzed
-// too. A divergence here is a VM semantics bug by definition: the
-// tree-walker is the oracle.
+// too; bit 2 a tight fail-closed, enforcing guard whose fuel, drawn from
+// the seed, makes the run trip at a seed-dependent step, so the VM's
+// batched pre-charges must stop where the walker stops. A divergence here
+// is a VM semantics bug by definition: the tree-walker is the oracle.
 func FuzzVMEquivalence(f *testing.F) {
 	f.Add(uint64(1), byte(0), byte(6), byte(0))
 	f.Add(uint64(0xC0FFEE), byte(3), byte(9), byte(0))
@@ -56,6 +59,11 @@ func FuzzVMEquivalence(f *testing.F) {
 	f.Add(uint64(1), byte(0), byte(6), byte(1))
 	f.Add(uint64(0xC0FFEE), byte(3), byte(9), byte(2))
 	f.Add(uint64(42), byte(6), byte(0), byte(3))
+	f.Add(uint64(42), byte(3), byte(6), byte(4))
+	f.Add(uint64(42), byte(4), byte(60), byte(5))
+	f.Add(uint64(123456), byte(5), byte(60), byte(6))
+	f.Add(uint64(42), byte(5), byte(6), byte(7))
+	f.Add(uint64(0xC0FFEE), byte(6), byte(60), byte(4))
 	f.Fuzz(func(t *testing.T, seed uint64, stratumByte, sizeByte, config byte) {
 		names := corpus.GenStratumNames()
 		stratum := names[int(stratumByte)%len(names)]
@@ -67,13 +75,20 @@ func FuzzVMEquivalence(f *testing.F) {
 		if config&1 != 0 {
 			base.mode = instrument.Selective
 		}
+		if config&4 != 0 {
+			// as TestGenMetamorphicVMCrashAgreement, with 100 to 1,599
+			// steps of fuel: a generated app's deploy and messages take
+			// about 200 to 1,100, so the trip lands at a seed-dependent step
+			base.limits = &guard.Limits{Fuel: 100 + int64(seed%1_500), MaxDepth: 64, MaxAlloc: 1 << 16}
+			base.failClosed, base.enforce = true, true
+		}
 		walker := base
 		walker.engine = interp.EngineWalker
 		vmSig := genRun(app, base, false)
 		walkSig := genRun(app, walker, false)
 		if vmSig != walkSig {
 			t.Fatalf("%s (stratum %s, seed %#x, config %d): VM and tree-walker diverged:\n-- vm --\n%s\n-- walker --\n%s",
-				app.Name, stratum, seed, config&3, vmSig, walkSig)
+				app.Name, stratum, seed, config&7, vmSig, walkSig)
 		}
 	})
 }

@@ -251,6 +251,10 @@ console.log(pkg.kind + ":" + pkg[key] + ":" + Object.keys(pkg).join(","));`,
 		`function hop1(m) { let o = ""; for (let i = 0; i < m.length; i++) { o = o + m[i]; } return o; }
 function hop2(m) { return hop1(m) + "!"; }
 console.log(hop2("relay"));`,
+		// concise arrow bodies whose first token is '{': printed without
+		// parentheses they would re-parse as blocks
+		`const f = A => ({}()); console.log(typeof f);`,
+		`const f = A => ({a: 1}).a; const h = A => ({ m: () => A }).m(); console.log(f(0), h(5));`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -188,7 +188,7 @@ func (ip *Interp) popEnvsPooled(env *Env, n int32) *Env {
 // vmArgs materializes the packed argument window like callArgs, but may
 // reuse a pooled slice when the caller guarantees the callee cannot
 // retain it (a compiled MiniJS body that never materializes `arguments`,
-// rest parameters always copying; or a built-in τ function). Pool slices
+// rest parameters always copying). Pool slices
 // carry spare capacity so the common 0–8 arity range recycles cleanly.
 func (ip *Interp) vmArgs(regs []Value, fregs []float64, ftag []bool, packed int32, pooled bool) []Value {
 	argc := int(packed & 0xffff)
@@ -283,6 +283,28 @@ func (ip *Interp) runChunk(ch *vm.Chunk, env *Env) (ctrlKind, Value, error) {
 	return c, v, err
 }
 
+// charge charges an instruction's pre-charges under a guard or near the
+// step ceiling. When no step of the batch can trip a budget or read the
+// clock (guard.Guard.StepN), the batch is one add, exactly as len(ps)
+// single steps; otherwise it falls back to per-position step, so a trip
+// surfaces at the exact node the tree-walker would report. It is kept out
+// of line so runFrame's dispatch loop does not grow.
+//
+//go:noinline
+func (ip *Interp) charge(ps []ast.Pos) error {
+	n := int64(len(ps))
+	if ip.steps-ip.stepBase+n <= ip.MaxSteps && ip.Guard.StepN(n) {
+		ip.steps += n
+		return nil
+	}
+	for _, p := range ps {
+		if err := ip.step(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value, error) {
 	regs, fregs, ftag := fr.regs, fr.fregs, fr.ftag
 	code := ch.Code
@@ -292,16 +314,11 @@ func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value
 			// pre-charges: the step charges the tree-walker would have made
 			// at the entries of the nodes this instruction fuses, in order.
 			// Far from the budget ceiling and unguarded, the whole batch is
-			// one add; otherwise fall back to per-position step so the trip
-			// surfaces at the exact node the tree-walker would report.
+			// one add; otherwise charge decides how to charge it exactly.
 			if ip.Guard == nil && ip.steps-ip.stepBase+int64(in.CN) <= ip.MaxSteps {
 				ip.steps += int64(in.CN)
-			} else {
-				for _, p := range ch.Charges[in.CIdx : in.CIdx+in.CN] {
-					if err := ip.step(p); err != nil {
-						return ctrlNormal, nil, err
-					}
-				}
+			} else if err := ip.charge(ch.Charges[in.CIdx : in.CIdx+in.CN]); err != nil {
+				return ctrlNormal, nil, err
 			}
 		}
 		switch in.Op {
@@ -772,11 +789,17 @@ func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value
 			if fn == nil {
 				return ctrlNormal, nil, trackerUndefined(site.Mem)
 			}
-			// a τ function never keeps its argument slice (see
-			// InstallTracker), so the window is pooled
-			args := ip.vmArgs(regs, fregs, ftag, in.C, true)
-			v, err := fn.Fn(ip, undef, args)
-			ip.putArgs(args)
+			// a τ function neither keeps nor writes its argument slice (see
+			// InstallTracker), so it reads the arguments in place: the
+			// window onto the caller's argument registers, capped so not
+			// even an append could reach a live register
+			base, argc := in.C>>16, in.C&0xffff
+			for i := base; i < base+argc; i++ {
+				if ftag[i] {
+					regs[i], ftag[i] = boxFloat(fregs[i]), false
+				}
+			}
+			v, err := fn.Fn(ip, undef, regs[base:base+argc:base+argc])
 			if err != nil {
 				return ctrlNormal, nil, err
 			}

@@ -1130,15 +1130,15 @@ func (ip *Interp) BinaryOp(op string, l, r Value, pos ast.Pos) (Value, error) {
 		if _, ok := lu.(*Object); ok {
 			return ToString(lu) + ToString(ru), nil
 		}
-		return ToNumber(lu) + ToNumber(ru), nil
+		return boxFloat(ToNumber(lu) + ToNumber(ru)), nil
 	case "-":
-		return ToNumber(lu) - ToNumber(ru), nil
+		return boxFloat(ToNumber(lu) - ToNumber(ru)), nil
 	case "*":
-		return ToNumber(lu) * ToNumber(ru), nil
+		return boxFloat(ToNumber(lu) * ToNumber(ru)), nil
 	case "/":
-		return ToNumber(lu) / ToNumber(ru), nil
+		return boxFloat(ToNumber(lu) / ToNumber(ru)), nil
 	case "%":
-		return math.Mod(ToNumber(lu), ToNumber(ru)), nil
+		return boxFloat(math.Mod(ToNumber(lu), ToNumber(ru))), nil
 	case "**":
 		return math.Pow(ToNumber(lu), ToNumber(ru)), nil
 	case "==":

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"turnstile/internal/ast"
 	"turnstile/internal/dift"
 	"turnstile/internal/guard"
 	"turnstile/internal/parser"
@@ -19,11 +20,13 @@ import (
 )
 
 // A tracker call `__t.<method>(…)` (vm.TrackerOp) goes by op code straight
-// to the installed τ function on both engines; the VM hands it a pooled
-// argument window. These tests pin that the VM's fused sites are
-// observationally the walker's calls: same values, labels, violations and
-// step charges for every τ method, no way for MiniJS code to see the
-// recycled window, and no way for it to reach τ through a binding.
+// to the installed τ function on both engines; on the VM the function reads
+// its arguments in place, through a window onto the caller's argument
+// registers. These tests pin that the VM's fused sites are observationally
+// the walker's calls: same values, labels, violations and step charges for
+// every τ method, no way for MiniJS code to see the in-place window, no
+// allocation for the window itself, and no way for it to reach τ through a
+// binding.
 
 const fusedPolicy = `{
   "labellers": { "Sec": "v => \"secret\"", "Pub": "v => \"public\"" },
@@ -138,11 +141,14 @@ func TestTauCheckNoArgs(t *testing.T) {
 	}
 }
 
-// TestPooledTauWindowUnobservable: a __t.call callee that keeps its
-// `arguments` keeps its own array, untouched when later fused calls
-// recycle the argument window.
-func TestPooledTauWindowUnobservable(t *testing.T) {
-	const src = `
+// TestInPlaceTauWindowUnobservable: a τ call reads its arguments in
+// place, from the caller's argument registers. Neither a __t.call callee
+// that keeps its `arguments` nor a value the caller holds in a register
+// across τ calls in the same expression can tell: each row prints the
+// same on both engines.
+func TestInPlaceTauWindowUnobservable(t *testing.T) {
+	rows := []struct{ name, src, want string }{
+		{"kept arguments", `
 var kept = [];
 function keep() { kept.push(arguments); return arguments.length; }
 __t.call(keep, [1, 2, 3]);
@@ -150,13 +156,67 @@ __t.call(keep, ["a", "b"]);
 __t.check("x", "y", "z");
 __t.binaryOp("+", 5, 6);
 console.log(kept[0][0], kept[0][1], kept[0][2], kept[0].length, kept[1][0], kept[1][1], kept[1].length);
-`
-	for _, engine := range Engines {
-		ip := fusedInterp(t, engine)
-		runResolved(t, ip, src)
-		if got := fmt.Sprint(ip.ConsoleOut); got != "[1 2 3 3 a b 2]" {
-			t.Fatalf("%v: kept arguments = %s", engine, got)
+`, "[1 2 3 3 a b 2]"},
+		{"registers held across tau calls", `
+var out = [];
+function g(x) { return __t.binaryOp("*", __t.binaryOp("+", x, 2), __t.member({ k: 3 }, "k")); }
+for (var i = 0; i < 3; i++) {
+  var a = i * 10;
+  out.push(g(a) + __t.binaryOp("+", i, 1) + a);
+  out.push(__t.binaryOp("-", a, g(i)) + __t.derive(a, g(a)) * 2, a);
+}
+console.log(out.join(","));
+`, "[7,-6,0,48,21,10,89,48,20]"},
+	}
+	for _, row := range rows {
+		for _, engine := range Engines {
+			ip := fusedInterp(t, engine)
+			runResolved(t, ip, row.src)
+			if got := fmt.Sprint(ip.ConsoleOut); got != row.want {
+				t.Fatalf("%s, %v: printed %s, want %s", row.name, engine, got, row.want)
+			}
 		}
+	}
+}
+
+// TestTauCallsDoNotAllocate: on the VM, a τ call on unlabelled small
+// integers allocates nothing per call: its arguments are read in place and
+// its numeric result comes from the interned boxes. So a loop of them
+// allocates as much for 400 iterations as for 10.
+func TestTauCallsDoNotAllocate(t *testing.T) {
+	prog, err := parser.Parse("tau_loop.js", `
+function loop(n) {
+  var acc = 0;
+  for (let i = 0; i < n; i++) {
+    acc = __t.binaryOp("+", __t.binaryOp("%", i, 7), 1);
+  }
+  return acc;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve.Resolve(prog)
+	ip := fusedInterp(t, EngineVM)
+	if err := ip.Run(prog); err != nil {
+		t.Fatal(err)
+	}
+	fnV, _ := ip.Globals.Lookup("loop")
+	fn := fnV.(*Function)
+	if fn.Code == nil || !fn.Code.NoCapture {
+		t.Fatal("loop does not run as a NoCapture chunk: its block scopes would allocate")
+	}
+	allocs := func(n float64) float64 {
+		args := []Value{n}
+		want := math.Mod(n-1, 7) + 1
+		return testing.AllocsPerRun(50, func() {
+			v, err := ip.CallFunction(fn, undef, args, ast.Pos{})
+			if err != nil || v != want {
+				t.Fatalf("loop(%v) = %v, %v; want %v", n, v, err, want)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(400); many != few {
+		t.Fatalf("a loop of τ calls allocates %.0f times per call at n = 10 and %.0f at n = 400", few, many)
 	}
 }
 

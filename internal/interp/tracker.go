@@ -82,10 +82,11 @@ func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 		tr.EnableTelemetry(ip.Metrics, ip.Tracer)
 	}
 	// tau installs one τ method under its op code. The VM hands these
-	// functions a pooled argument window that is recycled when they
-	// return. That is sound because none of them keeps the slice: they
-	// pass on its elements, or an argument array's own Elems, never args
-	// itself.
+	// functions their arguments in place: args is a capped window onto
+	// the caller's argument registers, which the caller reuses once the
+	// function returns. That is sound because none of them keeps the
+	// slice or writes into it: they pass on its elements, or an argument
+	// array's own Elems, never args itself.
 	tau := func(name string, fn func(ip *Interp, this Value, args []Value) (Value, error)) *HostFunc {
 		hf := NewHostFunc(name, fn)
 		ip.tauFns[vm.TauOpOf(name)] = hf

@@ -541,8 +541,11 @@ func (rt *Runtime) dispatchCatch(sourceID string, throw *interp.Throw, original 
 	}
 }
 
-// route forwards a message from a node to its wired downstream nodes.
-// An array message fans its elements out over the output ports.
+// route forwards a message from a node to its wired downstream nodes,
+// with Node-RED's port semantics: an array message carries one entry per
+// output port, whatever the port count, and any other message goes to
+// port 0. A null or undefined entry sends nothing on its port; an array
+// entry sends each of its messages on that port, in order.
 func (rt *Runtime) route(from *interp.Object, msg interp.Value) error {
 	fromID, _ := from.Host.(string)
 	ports := rt.wires[fromID]
@@ -550,27 +553,34 @@ func (rt *Runtime) route(from *interp.Object, msg interp.Value) error {
 		return nil
 	}
 	perPort := []interp.Value{msg}
-	if arr, ok := dift.Unwrap(msg).(*interp.Array); ok && len(ports) > 1 {
+	if arr, ok := dift.Unwrap(msg).(*interp.Array); ok {
 		perPort = arr.Elems
 	}
-	for pi, port := range ports {
-		var m interp.Value
-		if pi < len(perPort) {
-			m = perPort[pi]
-		} else {
-			continue
+	for pi, entry := range perPort {
+		if pi >= len(ports) {
+			break
 		}
-		for _, targetID := range port {
+		msgs := []interp.Value{entry}
+		if arr, ok := dift.Unwrap(entry).(*interp.Array); ok {
+			msgs = arr.Elems
+		}
+		for _, targetID := range ports[pi] {
 			target, ok := rt.instances[targetID]
 			if !ok {
 				return fmt.Errorf("nodered: wire to unknown node %q", targetID)
 			}
-			if rt.MailboxCap > 0 {
-				rt.enqueue(targetID, m)
-				continue
-			}
-			if err := rt.deliver(target, targetID, m); err != nil {
-				return err
+			for _, m := range msgs {
+				switch dift.Unwrap(m).(type) {
+				case interp.Null, interp.Undefined:
+					continue
+				}
+				if rt.MailboxCap > 0 {
+					rt.enqueue(targetID, m)
+					continue
+				}
+				if err := rt.deliver(target, targetID, m); err != nil {
+					return err
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package nodered
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -475,5 +476,86 @@ module.exports = function(RED) {
 	}
 	if !found {
 		t.Fatalf("console = %v", rt.IP.ConsoleOut)
+	}
+}
+
+// portSenderPkg registers "sender", which answers every input with
+// node.send(config.send evaluated), and "recorder", which writes each
+// message it receives, as JSON, to its config path.
+const portSenderPkg = `
+module.exports = function(RED) {
+  function SenderNode(config) {
+    RED.nodes.createNode(this, config);
+    const node = this;
+    node.on("input", function(msg) { node.send(SEND); });
+  }
+  RED.nodes.registerType("sender", SenderNode);
+  function RecorderNode(config) {
+    RED.nodes.createNode(this, config);
+    const fs = require("fs");
+    this.on("input", function(msg) { fs.writeFileSync(config.path, JSON.stringify(msg)); });
+  }
+  RED.nodes.registerType("recorder", RecorderNode);
+};
+`
+
+// portWrites deploys a sender that calls node.send(send) with the given
+// output wiring to recorders, injects one message, and returns what the
+// recorders received, in order, under synchronous and mailbox delivery
+// (which must agree).
+func portWrites(t *testing.T, send string, wires [][]string) []string {
+	t.Helper()
+	var runs [2][]string
+	for i, capacity := range []int{0, 8} {
+		rt := newRuntime(t)
+		rt.MailboxCap = capacity
+		if err := rt.LoadPackage("ports.js", strings.Replace(portSenderPkg, "SEND", send, 1)); err != nil {
+			t.Fatal(err)
+		}
+		flow := &Flow{Nodes: []NodeDef{{ID: "s", Type: "sender", Wires: wires}}}
+		for _, port := range wires {
+			for _, id := range port {
+				flow.Nodes = append(flow.Nodes, NodeDef{ID: id, Type: "recorder", Config: map[string]any{"path": "/" + id}})
+			}
+		}
+		if err := rt.Deploy(flow); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Inject("s", mkMsg("in")); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range rt.IP.IO.WritesTo("fs") {
+			runs[i] = append(runs[i], fmt.Sprintf("%s %v", w.Target, w.Value))
+		}
+	}
+	if fmt.Sprint(runs[0]) != fmt.Sprint(runs[1]) {
+		t.Fatalf("send(%s): synchronous delivery %q, mailbox %q", send, runs[0], runs[1])
+	}
+	return runs[0]
+}
+
+// A null (or undefined) port entry sends nothing on that port.
+func TestSendNullPortEntrySendsNothing(t *testing.T) {
+	got := portWrites(t, `[{ payload: 1 }, null, undefined]`, [][]string{{"a"}, {"b"}, {"c"}})
+	if want := []string{`/a {"payload":1}`}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recorders got %q, want %q", got, want)
+	}
+}
+
+// An array message is per-port even when the node has one output.
+func TestSendArrayWithOneOutputIsPerPort(t *testing.T) {
+	got := portWrites(t, `[{ payload: 1 }]`, [][]string{{"a"}})
+	if want := []string{`/a {"payload":1}`}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recorders got %q, want %q", got, want)
+	}
+}
+
+// A nested array sends each of its non-null messages on its port, in
+// order, to every node wired there.
+func TestSendNestedArraySendsEachMessage(t *testing.T) {
+	got := portWrites(t, `[[{ payload: 1 }, null, { payload: 2 }], null]`, [][]string{{"a", "b"}, {"c"}})
+	want := []string{`/a {"payload":1}`, `/a {"payload":2}`, `/b {"payload":1}`, `/b {"payload":2}`}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recorders got %q, want %q", got, want)
 	}
 }

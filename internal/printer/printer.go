@@ -470,15 +470,13 @@ func (p *printer) funcLit(fn *ast.FuncLit, indent int, decl *ast.FuncDecl) {
 		p.b.WriteString(" => ")
 		if fn.Body != nil {
 			p.block(fn.Body, indent)
+		} else if _, isObj := leftmost(fn.ExprRet).(*ast.ObjectLit); isObj {
+			// an expression body starting with '{' would parse as a block
+			p.b.WriteString("(")
+			p.expr(fn.ExprRet, 0)
+			p.b.WriteString(")")
 		} else {
-			// object-literal expression bodies need parens
-			if _, isObj := fn.ExprRet.(*ast.ObjectLit); isObj {
-				p.b.WriteString("(")
-				p.expr(fn.ExprRet, 0)
-				p.b.WriteString(")")
-			} else {
-				p.expr(fn.ExprRet, precAssign)
-			}
+			p.expr(fn.ExprRet, precAssign)
 		}
 		return
 	}
@@ -844,12 +842,23 @@ func escapeTemplate(s string) string {
 // statement position, would be '{' or 'function' — which the parser would
 // misread as a block or a declaration.
 func startsAmbiguously(e ast.Expr) bool {
+	switch x := leftmost(e).(type) {
+	case *ast.ObjectLit:
+		return true
+	case *ast.FuncLit:
+		return !x.Arrow
+	}
+	return false
+}
+
+// leftmost returns the operand whose first token is the first token of e
+// as printed. It descends into the left operand of every expression that
+// starts with one, even where the printer parenthesizes that operand: a
+// caller that adds parentheses on its answer then adds a redundant pair
+// at worst.
+func leftmost(e ast.Expr) ast.Expr {
 	for {
 		switch x := e.(type) {
-		case *ast.ObjectLit:
-			return true
-		case *ast.FuncLit:
-			return !x.Arrow
 		case *ast.BinaryExpr:
 			e = x.Left
 		case *ast.LogicalExpr:
@@ -864,16 +873,16 @@ func startsAmbiguously(e ast.Expr) bool {
 			e = x.Callee
 		case *ast.SeqExpr:
 			if len(x.Exprs) == 0 {
-				return false
+				return e
 			}
 			e = x.Exprs[0]
 		case *ast.UpdateExpr:
 			if x.Prefix {
-				return false
+				return e
 			}
 			e = x.X
 		default:
-			return false
+			return e
 		}
 	}
 }

@@ -248,6 +248,8 @@ func TestRoundTripStatementEdges(t *testing.T) {
 		"x = a ?? (b ?? c);",
 		"fn(() => {}, function named() {});",
 		"(function iife() { return 1; })();",
+		"f = A => ({}());",
+		"f = A => ({a: 1}).a;",
 	}
 	for _, src := range cases {
 		roundTrip(t, src)
